@@ -16,7 +16,8 @@ Everything in this module runs with one thread per subdomain against
   ``Gather(v)`` on splitComm, distributed solve, ``Scatter(v)``,
   then the eq. (12) overlap exchange;
 * :func:`spmd_gmres` — classical right-preconditioned GMRES with
-  distributed vectors (dots via one ``allreduce`` batch per iteration);
+  distributed vectors: :func:`repro.krylov.gmres` with the rank as its
+  ``kernels`` (dots via one ``allreduce`` batch per iteration);
 * :func:`spmd_fused_p1_gmres` — **§3.5**: the pipelined p1-GMRES whose
   dot products ride along the coarse-correction Gather/Scatter, with a
   single overlapped ``Iallreduce`` between the masters and *zero*
@@ -31,6 +32,8 @@ import numpy as np
 
 from ..common.errors import ReproError
 from ..dd.decomposition import Decomposition
+from ..krylov.gmres import gmres
+from ..krylov.pipelined import _lsq_residual, _lsq_solve
 from ..mpi.meter import Meter
 from ..mpi.simmpi import Comm, run_spmd, waitany
 from ..solvers import DistributedCholesky, factorize
@@ -157,6 +160,24 @@ class SpmdRank:
         """Batched inner products — ONE allreduce for the whole batch."""
         local = np.array([(self.sub.d * u) @ v for u, v in pairs])
         return np.asarray(self.comm.allreduce(local))
+
+    # -- the ``kernels=`` seam of :func:`repro.krylov.gmres` --------------
+    def norm(self, v: np.ndarray) -> float:
+        """Global 2-norm: one allreduce."""
+        return float(np.sqrt(self.dot(v, v)))
+
+    def ortho_step(self, V: np.ndarray, w: np.ndarray, H: np.ndarray,
+                   j: int, scratch: np.ndarray) -> int:
+        """:meth:`repro.kernels.KernelBackend.ortho_step` on distributed
+        vectors: classical Gram–Schmidt, ONE batched allreduce for all
+        j+1 dots and one for the norm."""
+        hcol = self.dots([(w, V[:, k]) for k in range(j + 1)])
+        H[:j + 1, j] = hcol
+        np.subtract(w, V[:, :j + 1] @ hcol, out=w)
+        H[j + 1, j] = self.norm(w)
+        if H[j + 1, j] > 0:
+            np.divide(w, H[j + 1, j], out=V[:, j + 1])
+        return 2
 
     # -- coarse correction (§3.2) ---------------------------------------
     def correction(self, u: np.ndarray, h_local: np.ndarray | None = None):
@@ -347,76 +368,41 @@ def _unpack_and_place(rows, r0, offsets, slave_world, msg, nu_all):
 # SPMD Krylov drivers
 # ----------------------------------------------------------------------
 
+class IterationTick:
+    """The ``health=`` observer of the SPMD solves: one
+    ``fault_point("iteration")`` per appended residual, as
+    :meth:`repro.resilience.HealthMonitor.observe` does in-process; the
+    basis checks (local, unweighted) are not taken."""
+
+    def __init__(self, comm: Comm):
+        self.comm = comm
+
+    def observe(self, k: int, residual: float, x=None) -> None:
+        self.comm.fault_point("iteration")
+
+    def check_vector(self, name: str, v: np.ndarray, k: int) -> None:
+        pass
+
+    def orthogonality(self, k: int, defect: float) -> None:
+        pass
+
+
 def spmd_gmres(rank: SpmdRank, b: np.ndarray, *, tol: float = 1e-6,
                restart: int = 40, maxiter: int = 200,
-               two_level: bool = True):
-    """Classical right-preconditioned GMRES on distributed vectors.
+               two_level: bool = True, x0: np.ndarray | None = None,
+               health=None):
+    """Classical right-preconditioned GMRES on distributed vectors:
+    :func:`repro.krylov.gmres` with the rank as its ``kernels``.
 
     Per iteration: one matvec + preconditioner, one batched dot allreduce
     and one norm allreduce (two blocking global synchronisations).
     Returns ``(x_i, iterations, residuals)`` on every rank.
     """
-    precond = (lambda u: rank.adef1(u)[0]) if two_level else rank.ras
-    n = b.shape[0]
-    x = np.zeros(n)
-    bnorm = np.sqrt(rank.dot(b, b))
-    if bnorm == 0:
-        return x, 0, [0.0]
-    target = tol * bnorm
-    residuals = []
-    total_it = 0
-    while True:
-        rank.comm.fault_point("iteration")
-        r = b - rank.matvec(x)
-        beta = np.sqrt(rank.dot(r, r))
-        residuals.append(beta / bnorm)
-        if beta <= target or total_it >= maxiter:
-            break
-        m = restart
-        V = np.zeros((n, m + 1))
-        H = np.zeros((m + 1, m))
-        g = np.zeros(m + 1)
-        g[0] = beta
-        V[:, 0] = r / beta
-        cs, sn = np.zeros(m), np.zeros(m)
-        j_done = 0
-        for j in range(m):
-            rank.comm.fault_point("iteration")
-            w = rank.matvec(precond(V[:, j]))
-            # one batched reduction for all j+1 dots
-            hcol = rank.dots([(w, V[:, k]) for k in range(j + 1)])
-            H[:j + 1, j] = hcol
-            w = w - V[:, :j + 1] @ hcol
-            H[j + 1, j] = np.sqrt(rank.dot(w, w))
-            if H[j + 1, j] > 0:
-                V[:, j + 1] = w / H[j + 1, j]
-            for k in range(j):
-                t = cs[k] * H[k, j] + sn[k] * H[k + 1, j]
-                H[k + 1, j] = -sn[k] * H[k, j] + cs[k] * H[k + 1, j]
-                H[k, j] = t
-            denom = np.hypot(H[j, j], H[j + 1, j])
-            cs[j] = H[j, j] / denom if denom else 1.0
-            sn[j] = H[j + 1, j] / denom if denom else 0.0
-            H[j, j] = denom
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            total_it += 1
-            j_done = j + 1
-            residuals.append(abs(g[j + 1]) / bnorm)
-            if abs(g[j + 1]) <= target or total_it >= maxiter:
-                break
-        if j_done:
-            y = np.zeros(j_done)
-            for k in range(j_done - 1, -1, -1):
-                y[k] = (g[k] - H[k, k + 1:j_done] @ y[k + 1:j_done]) / H[k, k]
-            x = x + precond(V[:, :j_done] @ y)
-        rtrue = np.sqrt(rank.dot(b - rank.matvec(x),
-                                 b - rank.matvec(x)))
-        if rtrue <= target or total_it >= maxiter:
-            residuals[-1] = rtrue / bnorm
-            break
-    return x, total_it, residuals
+    res = gmres(rank.matvec, b, x0=x0, tol=tol, restart=restart,
+                maxiter=maxiter, kernels=rank,
+                M=(lambda u: rank.adef1(u)[0]) if two_level else rank.ras,
+                health=health or IterationTick(rank.comm))
+    return res.x, res.iterations, res.residuals
 
 
 def spmd_fused_p1_gmres(rank: SpmdRank, b: np.ndarray, *, tol: float = 1e-6,
@@ -497,7 +483,7 @@ def spmd_fused_p1_gmres(rank: SpmdRank, b: np.ndarray, *, tol: float = 1e-6,
                 batch = np.concatenate([[(d * V[:, i]) @ V[:, i]], dots])
             # residual estimate on the fully-landed H̄ prefix (lag 2)
             if i >= 2:
-                res = _spmd_lsq_residual(H, beta, i - 1)
+                res = _lsq_residual(H, beta, i - 1)
                 residuals.append(res / bnorm)
                 if res <= target:
                     break
@@ -508,25 +494,14 @@ def spmd_fused_p1_gmres(rank: SpmdRank, b: np.ndarray, *, tol: float = 1e-6,
         H[finalized, finalized - 1] = np.sqrt(max(float(red[0]), 0.0))
         k = finalized
         if k:
-            g = np.zeros(k + 1)
-            g[0] = beta
-            y, *_ = np.linalg.lstsq(H[:k + 1, :k], g, rcond=None)
-            x = x + V[:, :k] @ y                # left preconditioning
+            # left preconditioning: no M on the update
+            x = x + V[:, :k] @ _lsq_solve(H, beta, k)
         rp, _ = rank.adef1(b - rank.matvec(x))
         rtrue = np.sqrt(rank.dot(rp, rp))
         residuals.append(rtrue / bnorm)
         if rtrue <= target or total_it >= maxiter:
             break
     return x, total_it, residuals
-
-
-def _spmd_lsq_residual(H, beta, k):
-    g = np.zeros(k + 1)
-    g[0] = beta
-    y, res2, *_ = np.linalg.lstsq(H[:k + 1, :k], g, rcond=None)
-    if res2.size:
-        return float(np.sqrt(res2[0]))
-    return float(np.linalg.norm(g - H[:k + 1, :k] @ y))
 
 
 # ----------------------------------------------------------------------

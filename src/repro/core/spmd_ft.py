@@ -21,6 +21,11 @@ storm) heals in place instead of aborting:
    degrades the whole run to one-level RAS (agreed via
    :meth:`~repro.mpi.simmpi.Comm.agree`).
 
+The solve itself is :func:`repro.core.spmd.spmd_gmres`; checkpointing
+is its ``health=`` restart-boundary observer, and after a repair the
+driver calls it again from the restored iterate with the remaining
+iteration budget.
+
 The recovery protocol is cycle-synchronous: checkpoints are taken at
 GMRES restart-cycle boundaries, the convergence test is a global
 reduction (so every rank takes the same boundary decisions), and cycle
@@ -45,7 +50,8 @@ from ..resilience.checkpoint import (CheckpointStore, IterateCheckpoint,
                                      setup_payload, TAG_RESTORE_ITER)
 from ..solvers import DistributedCholesky, factorize
 from .deflation import DeflationSpace
-from .spmd import SpmdRank, assemble_coarse_spmd, build_master_comms
+from .spmd import (IterationTick, SpmdRank, assemble_coarse_spmd,
+                   build_master_comms, spmd_gmres)
 
 
 @dataclass
@@ -122,75 +128,35 @@ def _ft_setup(comm: Comm, env: _FtEnv) -> _RankState:
 
 
 # ----------------------------------------------------------------------
-# Cycle-synchronous restartable GMRES
+# Checkpointing: the restart-boundary observer of the one GMRES loop
 # ----------------------------------------------------------------------
 
-def _ft_gmres_cycles(st: _RankState, b: np.ndarray, env: _FtEnv):
-    """Right-preconditioned restarted GMRES that snapshots (and, when
-    due, replicates) its state at every restart-cycle boundary and can
-    resume from ``st`` after a recovery rollback."""
-    rank = st.rank
-    n = b.shape[0]
-    bnorm = np.sqrt(rank.dot(b, b))
-    if bnorm == 0:
-        return st.x, st.k, st.residuals or [0.0]
-    target = env.tol * bnorm
-    while True:
-        precond = ((lambda u: rank.adef1(u)[0]) if st.two_level
-                   else rank.ras)
-        rank.comm.fault_point("iteration")
-        r = b - rank.matvec(st.x)
-        beta = np.sqrt(rank.dot(r, r))
-        # boundary snapshot BEFORE appending this cycle's residual so a
-        # rollback re-enters the loop and deterministically re-appends
-        st.prev_boundary = st.boundary
-        st.boundary = IterateCheckpoint(st.cycle, st.k, st.x.copy(),
-                                        list(st.residuals))
-        st.residuals.append(beta / bnorm)
-        if beta <= target or st.k >= env.maxiter:
-            break
-        if st.store.due(st.cycle):
-            st.store.tick(st.boundary)
-        m = env.restart
-        V = np.zeros((n, m + 1))
-        H = np.zeros((m + 1, m))
-        g = np.zeros(m + 1)
-        g[0] = beta
-        V[:, 0] = r / beta
-        cs, sn = np.zeros(m), np.zeros(m)
-        j_done = 0
-        for j in range(m):
-            rank.comm.fault_point("iteration")
-            w = rank.matvec(precond(V[:, j]))
-            hcol = rank.dots([(w, V[:, k]) for k in range(j + 1)])
-            H[:j + 1, j] = hcol
-            w = w - V[:, :j + 1] @ hcol
-            H[j + 1, j] = np.sqrt(rank.dot(w, w))
-            if H[j + 1, j] > 0:
-                V[:, j + 1] = w / H[j + 1, j]
-            for k in range(j):
-                t = cs[k] * H[k, j] + sn[k] * H[k + 1, j]
-                H[k + 1, j] = -sn[k] * H[k, j] + cs[k] * H[k + 1, j]
-                H[k, j] = t
-            denom = np.hypot(H[j, j], H[j + 1, j])
-            cs[j] = H[j, j] / denom if denom else 1.0
-            sn[j] = H[j + 1, j] / denom if denom else 0.0
-            H[j, j] = denom
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            st.k += 1
-            j_done = j + 1
-            st.residuals.append(abs(g[j + 1]) / bnorm)
-            if abs(g[j + 1]) <= target or st.k >= env.maxiter:
-                break
-        if j_done:
-            y = np.zeros(j_done)
-            for k in range(j_done - 1, -1, -1):
-                y[k] = (g[k] - H[k, k + 1:j_done] @ y[k + 1:j_done]) / H[k, k]
-            st.x = st.x + precond(V[:, :j_done] @ y)
-        st.cycle += 1
-    return st.x, st.k, st.residuals
+class _BoundaryObserver(IterationTick):
+    """``health=`` observer of one :func:`spmd_gmres` call (re)started
+    from ``st``: when the loop hands over the iterate — a restart
+    boundary — snapshot it and, when due, replicate it to the partner;
+    then tick the ``iteration`` fault point, so a rank killed *at* a
+    boundary has already replicated that boundary."""
+
+    def __init__(self, st: _RankState):
+        super().__init__(st.rank.comm)
+        self.st, self.k0 = st, st.k
+
+    def observe(self, k: int, residual: float, x=None) -> None:
+        st = self.st
+        st.k = self.k0 + k
+        if x is not None:
+            # boundary snapshot BEFORE appending this cycle's residual
+            # so a rollback re-enters the loop and deterministically
+            # re-appends
+            st.prev_boundary = st.boundary
+            st.boundary = IterateCheckpoint(st.cycle, st.k, x.copy(),
+                                            list(st.residuals))
+            if st.store.due(st.cycle):
+                st.store.tick(st.boundary)
+            st.cycle += 1
+        st.residuals.append(residual)
+        super().observe(k, residual, x)
 
 
 # ----------------------------------------------------------------------
@@ -395,14 +361,20 @@ def _ft_rank_main(comm: Comm, env: _FtEnv):
                 plan = None
             if st is None:
                 st = _ft_setup(comm, env)
-            x, k, residuals = _ft_gmres_cycles(
-                st, env.b_list[comm.rank], env)
+            st.x, _, residuals = spmd_gmres(
+                st.rank, env.b_list[comm.rank], tol=env.tol,
+                restart=env.restart, maxiter=env.maxiter - st.k,
+                two_level=st.two_level, x0=st.x,
+                health=_BoundaryObserver(st))
+            # the loop corrects its last estimate with the true residual
+            st.residuals[-1] = residuals[-1]
             # kills can only fire at instrumented call sites: once this
             # barrier completes no rank makes another call, so no repair
             # can be needed after the first rank returns
             comm.barrier()
-            return {"x": x, "iterations": k, "residuals": residuals,
-                    "recoveries": recoveries, "two_level": st.two_level,
+            return {"x": st.x, "iterations": st.k,
+                    "residuals": st.residuals, "recoveries": recoveries,
+                    "two_level": st.two_level,
                     "ticks": st.store.ticks, "adopted": comm.adopted}
         except RankFailure as exc:
             if exc.rank == comm.world_rank or exc.op == "repair":

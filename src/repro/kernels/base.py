@@ -58,6 +58,12 @@ class KernelBackend:
             np.divide(w, H[j + 1, j], out=V[:, j + 1])
         return 2
 
+    def norm(self, v: np.ndarray) -> float:
+        """Global 2-norm of a Krylov vector (one reduction): every norm
+        of the GMRES loop outside :meth:`ortho_step` — ‖b‖ and the true
+        residual at restart boundaries."""
+        return float(np.linalg.norm(v))
+
     def ortho_block(self, Vb: np.ndarray, k: int, W: np.ndarray,
                     qr_block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Blocked CGS2 against the basis columns ``Vb[:, :k]``: returns

@@ -2,8 +2,7 @@
 
 from .cg import cg
 from .deflated_cg import deflated_cg
-from .fgmres import fgmres
-from .gmres import KrylovResult, gmres
+from .gmres import KrylovResult, fgmres, gmres
 from .pipelined import p1_gmres
 from .profile import SolveProfiler
 from .sstep import s_step_gmres

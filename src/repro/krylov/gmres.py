@@ -1,4 +1,5 @@
-"""Restarted GMRES with right preconditioning and synchronisation counting.
+"""Restarted GMRES with right preconditioning and synchronisation counting
+— the one Arnoldi/Givens loop of the repository.
 
 The paper's experiments stop GMRES at a relative 10⁻⁶ residual decrease
 (10⁻⁸ for fig. 1) and use GMRES(40) for the elasticity comparison of
@@ -19,6 +20,10 @@ through preallocated buffers (``np.multiply``/``np.subtract`` with
 A :class:`~repro.krylov.SolveProfiler` times the ``matvec``, ``apply``
 and ``orthogonalization`` cost centres; the result carries the
 accumulated seconds in :attr:`KrylovResult.profile`.
+
+Every classical restarted GMRES of the stack is :func:`gmres` called
+through its two seams (``docs/api.md``): ``kernels=`` owns every
+reduction, ``health=`` is told every appended residual.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ class KrylovResult:
     converged: bool = True
     #: number of global synchronisations (reductions) performed
     global_syncs: int = 0
+    #: reductions posted non-blocking and hidden behind the next
+    #: operator product (the pipelined drivers; 0 elsewhere)
+    overlapped_reductions: int = 0
     #: per-phase wall-clock seconds of the solve — ``apply`` (the
     #: preconditioner), ``coarse_solve`` (nested inside ``apply``),
     #: ``matvec``, ``orthogonalization``
@@ -97,7 +105,7 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
           callback=None, raise_on_stall: bool = False,
           profiler: SolveProfiler | None = None,
           health=None, keep_basis: bool = False,
-          kernels=None) -> KrylovResult:
+          kernels=None, _flexible: bool = False) -> KrylovResult:
     """Right-preconditioned restarted GMRES: solve ``A (M y) = b``,
     ``x = M y``.
 
@@ -119,8 +127,9 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
         Per-phase timer; pass the one shared with the preconditioner to
         also capture ``coarse_solve``.  Created internally if ``None``.
     health:
-        Optional :class:`~repro.resilience.HealthMonitor`, checked once
-        per iteration; the iterate is handed over at restart boundaries
+        Optional :class:`~repro.resilience.HealthMonitor` (or any
+        observer with its three methods), told once per appended
+        residual; the iterate is handed over at restart boundaries
         (where it is cheap), so checkpoint/rollback recovery restarts
         from the last completed cycle.  New basis vectors are scanned
         for NaN/Inf and a cheap orthogonality defect ``|v_{j+1}·v_0|``
@@ -130,9 +139,13 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
         untransformed Hessenberg H̄) to :attr:`KrylovResult.basis` for a
         posteriori Ritz harvesting (subspace recycling).
     kernels:
-        Optional :class:`~repro.kernels.KernelBackend` owning the
-        orthogonalisation kernel; ``None`` uses the reference ``numpy``
-        backend (bitwise-identical to the historical inline MGS).
+        Owner of every reduction (``ortho_step``, ``norm``): a
+        :class:`~repro.kernels.KernelBackend`, or an
+        :class:`~repro.core.spmd.SpmdRank` for distributed vectors;
+        ``None`` uses the reference ``numpy`` backend
+        (bitwise-identical to the historical inline MGS).
+    _flexible:
+        Private to :func:`fgmres`.
     """
     from ..kernels import default_backend
     kern = default_backend() if kernels is None else kernels
@@ -147,7 +160,7 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     if health is not None:
         health.profiler = prof
 
-    bnorm = float(np.linalg.norm(b))
+    bnorm = kern.norm(b)
     if bnorm == 0.0:
         return finish_zero_rhs(n, profiler=prof, callback=callback,
                                health=health)
@@ -162,6 +175,8 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     # workspaces allocated once, reused across restarts
     m = restart
     V = np.empty((n, m + 1))
+    # flexible: the preconditioned basis Z_j = M_j v_j (M may vary)
+    Z = np.empty((n, m)) if _flexible else None
     H = np.zeros((m + 1, m))
     # Givens rotations triangularise H in place; recycling needs the raw
     # Arnoldi Hessenberg, so keep an untouched copy when asked to
@@ -179,19 +194,26 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
         return (V[:, :j_done + 1].copy(),
                 Hraw[:j_done + 1, :j_done].copy())
 
+    def _append(rel: float, iterate=None):
+        # every appended residual is reported exactly once; the iterate
+        # rides along at restart boundaries only
+        residuals.append(rel)
+        prof.iteration(total_it, rel)
+        if health is not None:
+            health.observe(total_it, rel, iterate)
+        if callback is not None:
+            callback(total_it, rel)
+
+    # the true residual of a restart boundary is computed once, at the
+    # end of the cycle, and carried into the next one
+    r = b - A_mul(x)
+    beta = kern.norm(r)
     while True:
         if cycle > 0:
             prof.restart(cycle, total_it)
         cycle += 1
-        r = b - A_mul(x)
-        beta = float(np.linalg.norm(r))
         syncs += 1
-        residuals.append(beta / bnorm)
-        prof.iteration(total_it, beta / bnorm)
-        if health is not None:
-            health.observe(total_it, beta / bnorm, x)
-        if callback is not None:
-            callback(total_it, beta / bnorm)
+        _append(beta / bnorm, x)
         if beta <= target or total_it >= maxiter:
             break
 
@@ -201,7 +223,11 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
         np.divide(r, beta, out=V[:, 0])
         j_done = 0
         for j in range(m):
-            w = A_mul(M_mul(V[:, j]))
+            if Z is None:
+                w = A_mul(M_mul(V[:, j]))
+            else:
+                Z[:, j] = M_mul(V[:, j])
+                w = A_mul(Z[:, j])
             # Gram–Schmidt through the kernel backend (reference: MGS,
             # one batched reduction + one norm)
             with prof.phase("orthogonalization"):
@@ -234,22 +260,19 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
             total_it += 1
             j_done = j + 1
             res = abs(g[j + 1])
-            residuals.append(res / bnorm)
-            prof.iteration(total_it, res / bnorm)
-            if health is not None:
-                health.observe(total_it, res / bnorm)
-            if callback is not None:
-                callback(total_it, res / bnorm)
+            _append(res / bnorm)
             if res <= target or total_it >= maxiter:
                 break
         # solve the small triangular system and update x
         if j_done:
             y = _back_substitute(H, g, j_done)
-            x = x + M_mul(V[:, :j_done] @ y)
-        rtrue = float(np.linalg.norm(b - A_mul(x)))
-        if rtrue <= target:
-            residuals[-1] = rtrue / bnorm
-            prof.iteration(total_it, rtrue / bnorm, corrected=True)
+            x = x + (M_mul(V[:, :j_done] @ y) if Z is None
+                     else Z[:, :j_done] @ y)
+        r = b - A_mul(x)
+        beta = kern.norm(r)
+        if beta <= target:
+            residuals[-1] = beta / bnorm
+            prof.iteration(total_it, beta / bnorm, corrected=True)
             break
         if total_it >= maxiter:
             if raise_on_stall:
@@ -265,6 +288,15 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
                         converged=residuals[-1] * bnorm <= target * (1 + 1e-12),
                         global_syncs=syncs, profile=prof.as_dict(),
                         basis=_basis())
+
+
+def fgmres(A, b: np.ndarray, **options) -> KrylovResult:
+    """Flexible GMRES (Saad 1993): :func:`gmres` — same options, same
+    loop — keeping the preconditioned basis ``Z_j = M_j v_j`` and
+    updating ``x += Z y``, so *M* may change between applications (e.g.
+    an inexactly solved coarse problem, §3.4's closing concern).
+    """
+    return gmres(A, b, _flexible=True, **options)
 
 
 def _back_substitute(H: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:

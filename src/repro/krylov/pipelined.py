@@ -139,16 +139,16 @@ def p1_gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
             prof.iteration(total_it, rtrue / bnorm, corrected=True)
             break
         if total_it >= maxiter:
-            res = KrylovResult(x=x, iterations=total_it, residuals=residuals,
-                               converged=False, global_syncs=blocking_syncs,
-                               profile=prof.as_dict())
-            res.overlapped_reductions = overlapped
-            return res
-    res = KrylovResult(x=x, iterations=total_it, residuals=residuals,
-                       converged=residuals[-1] * bnorm <= target * (1 + 1e-12),
-                       global_syncs=blocking_syncs, profile=prof.as_dict())
-    res.overlapped_reductions = overlapped
-    return res
+            return KrylovResult(x=x, iterations=total_it,
+                                residuals=residuals, converged=False,
+                                global_syncs=blocking_syncs,
+                                overlapped_reductions=overlapped,
+                                profile=prof.as_dict())
+    return KrylovResult(x=x, iterations=total_it, residuals=residuals,
+                        converged=residuals[-1] * bnorm <= target * (1 + 1e-12),
+                        global_syncs=blocking_syncs,
+                        overlapped_reductions=overlapped,
+                        profile=prof.as_dict())
 
 
 def _hbar(H: np.ndarray, k: int) -> np.ndarray:

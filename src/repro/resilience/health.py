@@ -1,8 +1,10 @@
 """Numerical health monitoring for the Krylov drivers.
 
 A :class:`HealthMonitor` is checked once per Krylov iteration by every
-driver (``cg``, ``gmres``, ``fgmres``, ``p1_gmres``, ``s_step_gmres``,
-``deflated_cg``): it watches the residual stream for NaN/Inf,
+in-process driver (``cg``, ``gmres`` and with it ``fgmres``,
+``p1_gmres``, ``s_step_gmres``, ``deflated_cg``) through its ``health=``
+argument (the SPMD solves pass their own observers there, see
+``docs/api.md``): it watches the residual stream for NaN/Inf,
 divergence and stagnation, the basis for non-finite entries, and the
 orthogonalisation for loss of orthogonality — each failure classified
 into a typed :class:`~repro.common.errors.KrylovBreakdown` subclass

@@ -13,19 +13,25 @@ machinery.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.common.errors import CommunicatorError, RankFailure
 from repro.core import solve_spmd_ft
+from repro.core.adef import TwoLevelADEF1
+from repro.core.coarse import CoarseOperator
+from repro.core.ras import OneLevelRAS
 from repro.core.spmd import solve_spmd
+from repro.krylov import gmres
 from repro.mpi.meter import Meter
 from repro.mpi.simmpi import run_spmd
 from repro.obs import Recorder
-from repro.resilience import (ChaosConfig, FaultPlan, FaultSpec,
-                              RetryPolicy, as_retry, build_problem,
-                              partner_map, random_plan, run_campaign)
+from repro.resilience import (ChaosConfig, FaultInjector, FaultPlan,
+                              FaultSpec, HealthMonitor, RetryPolicy,
+                              as_retry, build_problem, partner_map,
+                              random_plan, run_campaign)
 from repro.resilience.chaos import run_solve
 from repro.resilience.checkpoint import JacobiFactor, jacobi_surrogate
 
@@ -43,6 +49,20 @@ def ft_solve(ft_problem, **kw):
     kw.setdefault("restart", 30)
     kw.setdefault("maxiter", 120)
     return solve_spmd_ft(dec, space, b, **kw)
+
+
+class _TickCounter(FaultInjector):
+    """An injector that injects nothing and counts the ``iteration``
+    fault-point ticks per rank."""
+
+    def __init__(self):
+        super().__init__(FaultPlan([]))
+        self.ticks = Counter()
+
+    def fire(self, op, rank=0, payload=None):
+        if op == "iteration":
+            self.ticks[rank] += 1
+        return payload
 
 
 def kill_plan(rank, nth=5, op="iteration", timeout=2.0):
@@ -143,16 +163,42 @@ class TestRepairPrimitives:
 
 class TestFtSolve:
     def test_fault_free_matches_plain_spmd(self, ft_problem):
+        """Differential test of the three stacks: ``solve_spmd``,
+        fault-free ``solve_spmd_ft`` and the in-process ``gmres`` run
+        the same loop (GMRES(5), so a restart boundary is crossed)."""
         dec, space, b = ft_problem
+        kw = dict(tol=1e-6, restart=5, maxiter=120)
+        plain, ft, seq = _TickCounter(), _TickCounter(), _TickCounter()
         x_ref, it_ref, res_ref, _ = solve_spmd(
-            dec, space, b, num_masters=2, tol=1e-6, restart=30,
-            maxiter=120)
-        rep = ft_solve(ft_problem, spares=1)
+            dec, space, b, num_masters=2, faults=plain, **kw)
+        rep = ft_solve(ft_problem, spares=1, faults=ft, **kw)
         assert rep.converged and rep.two_level
         assert not rep.recoveries
-        assert rep.iterations == it_ref
+        assert rep.iterations == it_ref > 5
         assert np.allclose(rep.x, x_ref)
         assert rep.checkpoint_ticks > 0
+        # same loop, same reductions.  The histories are relative to
+        # ‖b‖; the simulator's neighbour exchange accumulates in arrival
+        # order, so two runs of the same code agree to rounding of the
+        # *initial* residual (atol), not of the current one
+        assert len(rep.residuals) == len(res_ref)
+        assert np.allclose(rep.residuals, res_ref, rtol=0, atol=1e-13)
+
+        # in-process: modified Gram–Schmidt, against the SPMD ranks'
+        # one-reduction classical Gram–Schmidt over the allreduce —
+        # same iteration count, histories close but not equal
+        M = TwoLevelADEF1(OneLevelRAS(dec), CoarseOperator(space))
+        ref = gmres(dec.matvec, b, M=M.apply,
+                    health=HealthMonitor(injector=seq), **kw)
+        assert ref.iterations == it_ref
+        assert np.allclose(ref.residuals, res_ref, rtol=1e-8, atol=1e-13)
+
+        # the ``iteration`` fault point fires exactly once per appended
+        # residual: on every rank of both SPMD stacks, and in-process
+        # (HealthMonitor.observe ticks rank 0)
+        n = len(res_ref)
+        assert plain.ticks == ft.ticks == {r: n for r in range(6)}
+        assert seq.ticks == {0: n}
 
     def test_kill_restores_from_checkpoint(self, ft_problem):
         meter = Meter(6)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConvergenceError, KrylovError
 from repro.fem import FunctionSpace, assemble_load, assemble_stiffness, restrict_to_free
-from repro.krylov import cg, gmres, p1_gmres
+from repro.krylov import cg, fgmres, gmres, p1_gmres
 from repro.mesh import unit_square
 
 
@@ -53,13 +53,25 @@ class TestGMRES:
         assert not r.converged
         assert r.iterations <= 3
 
-    def test_raise_on_stall(self, system):
+    @pytest.mark.parametrize("method", [gmres, fgmres])
+    def test_raise_on_stall(self, system, method):
         A, b, _ = system
         with pytest.raises(ConvergenceError) as exc:
-            gmres(A, b, tol=1e-14, maxiter=3, restart=2,
-                  raise_on_stall=True)
+            method(A, b, tol=1e-14, maxiter=3, restart=2,
+                   raise_on_stall=True)
         assert exc.value.x is not None
         assert len(exc.value.residuals) > 0
+
+    @pytest.mark.parametrize("method", [gmres, fgmres])
+    def test_keep_basis_is_the_arnoldi_relation(self, system, method):
+        A, b, _ = system
+        M = sp.diags(1.0 / A.diagonal())
+        r = method(A, b, M=M, tol=1e-14, maxiter=7, restart=4,
+                   keep_basis=True)
+        V, Hbar = r.basis                  # last cycle: 7 = 4 + 3 steps
+        assert V.shape[1] == 4 and Hbar.shape == (4, 3)
+        assert np.allclose(A @ (M @ V[:, :3]), V @ Hbar)
+        assert method(A, b, tol=1e-14, maxiter=3).basis is None
 
     def test_callback_invoked(self, system):
         A, b, _ = system
