@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from ..common.errors import EigenError, RankFailure, ReproError
 from ..common.validation import matrix_is_symmetric
-from ..dd.decomposition import Subdomain
+from ..dd.subdomain import Subdomain
 from ..eigen import lanczos_generalized, subspace_iteration
 from ..solvers import factorize
 

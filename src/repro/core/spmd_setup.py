@@ -9,9 +9,11 @@ MPI.  Each rank, given only the global coarse mesh + partition array
 (replicated, as FreeFem++ replicates the unrefined coarse mesh) and its
 own rank id:
 
-1. grows its own overlap ``T_i^δ`` and extracts local meshes/spaces;
-2. assembles its Dirichlet matrix by the trim rule and its Neumann
-   matrix — *locally*;
+1. grows its own overlap ``T_i^{δ+1}``;
+2. builds its Dirichlet, Neumann (and extended-GenEO surrogate)
+   matrices with :func:`repro.dd.subdomain.build_subdomain` — the same
+   builder the sequential decomposition calls, on its own cells of the
+   replicated global function space;
 3. finds neighbour candidates from the partition graph, then exchanges
    **global dof keys** with them to align the shared-dof index maps
    (entity keys, not a global dof numbering: vertex ids / edge pairs /
@@ -26,34 +28,22 @@ paper's "communication-free setup + one neighbourhood exchange" claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.sparse as sp
 
 from ..common.errors import DecompositionError
-from ..dd.dofmap import map_vector_dofs
 from ..dd.overlap import grow_overlap, vertex_layers
-from ..dd.pou import expand_to_vector, pou_diagonal
 from ..dd.problem import Problem
+from ..dd.subdomain import (
+    Subdomain,
+    apply_jacobi_scaling,
+    build_subdomain,
+    jacobi_scale,
+    partition_of_unity,
+)
 from ..mpi.simmpi import Comm
 
 _TAG_KEYS = 21_000
 _TAG_CHI = 22_000
-
-
-@dataclass
-class LocalSubdomain:
-    """One rank's locally-built subdomain data (mirrors
-    :class:`~repro.dd.decomposition.Subdomain`)."""
-
-    index: int
-    dofs: np.ndarray                 # global reduced dof ids (local order)
-    A_dir: sp.csr_matrix
-    A_neu: sp.csr_matrix
-    d: np.ndarray
-    neighbors: list[int]
-    shared: dict[int, np.ndarray]
 
 
 def _partition_neighbor_candidates(mesh, part: np.ndarray, me: int,
@@ -73,36 +63,15 @@ def _partition_neighbor_candidates(mesh, part: np.ndarray, me: int,
 
 
 def build_local_subdomain(comm: Comm, problem: Problem, part: np.ndarray,
-                          delta: int) -> LocalSubdomain:
+                          delta: int) -> Subdomain:
     """SPMD construction of this rank's subdomain (steps 1–4 above)."""
     me = comm.rank
-    mesh, form = problem.mesh, problem.form
-    gspace = problem.space
+    mesh = problem.mesh
 
-    # ---- step 1+2: purely local meshes, spaces and matrices ----------
-    cells_dp1, layers_dp1 = grow_overlap(mesh, part, me, delta + 1)
-    keep = layers_dp1 <= delta
-    cells_d, layers_d = cells_dp1[keep], layers_dp1[keep]
-
-    smesh1, vmap1, cmap1 = mesh.extract_cells(cells_dp1)
-    space1 = form.make_space(smesh1)
-    A_loc = form.assemble_matrix(space1, cell_map=cmap1)
-
-    smesh0, vmap0, cmap0 = mesh.extract_cells(cells_d)
-    space0 = form.make_space(smesh0)
-
-    g_d = map_vector_dofs(space0, gspace, vmap0, cmap0)
-    g_dp1 = map_vector_dofs(space1, gspace, vmap1, cmap1)
-    inv = np.full(gspace.num_dofs, -1, dtype=np.int64)
-    inv[g_dp1] = np.arange(g_dp1.size)
-    sel = inv[g_d]
-    reduced = problem.free_lookup[g_d]
-    keep_mask = reduced >= 0
-    dofs = reduced[keep_mask]
-    A_dir = A_loc[sel[keep_mask]][:, sel[keep_mask]].tocsr()
-    keep_idx = np.flatnonzero(keep_mask)
-    A_neu = form.assemble_matrix(space0, cell_map=cmap0)
-    A_neu = A_neu[keep_idx][:, keep_idx].tocsr()
+    # ---- step 1+2: purely local matrices -----------------------------
+    cells, layers = grow_overlap(mesh, part, me, delta + 1)
+    sub = build_subdomain(problem, me, cells, layers, delta)
+    dofs = sub.dofs
 
     # ---- step 3: neighbour discovery + shared-dof alignment ----------
     candidates = _partition_neighbor_candidates(mesh, part, me, delta)
@@ -113,20 +82,17 @@ def build_local_subdomain(comm: Comm, problem: Problem, part: np.ndarray,
         comm.isend(dofs, cand, _TAG_KEYS)
     neighbors: list[int] = []
     shared: dict[int, np.ndarray] = {}
-    order = np.argsort(dofs, kind="stable")
-    sorted_dofs = dofs[order]
     for cand in candidates:
-        theirs = comm.recv(cand, _TAG_KEYS)
-        common = np.intersect1d(sorted_dofs, np.sort(theirs))
+        common = np.intersect1d(dofs, comm.recv(cand, _TAG_KEYS))
         if common.size == 0:
             continue
-        pos = order[np.searchsorted(sorted_dofs, common)]
         neighbors.append(cand)
-        shared[cand] = pos
+        shared[cand] = np.searchsorted(dofs, common)
     neighbors.sort()
+    sub.neighbors, sub.shared = neighbors, shared
 
     # ---- step 4: partition of unity via neighbour χ̃ exchange --------
-    verts, vlayer = vertex_layers(mesh, cells_d, layers_d)
+    verts, vlayer = vertex_layers(mesh, sub.cells, sub.layers)
     chi_mine = 1.0 - vlayer.astype(np.float64) / delta
     total = chi_mine.copy()
     for nb in neighbors:
@@ -138,25 +104,19 @@ def build_local_subdomain(comm: Comm, problem: Problem, part: np.ndarray,
         ok = (pos < verts.size)
         ok[ok] &= verts[pos[ok]] == vj[ok]
         np.add.at(total, pos[ok], cj[ok])
-    d_scal = pou_diagonal(space0, chi_mine, total)
-    d = expand_to_vector(d_scal, gspace.ncomp)[keep_mask]
-
-    return LocalSubdomain(index=me, dofs=dofs, A_dir=A_dir, A_neu=A_neu,
-                          d=d, neighbors=neighbors, shared=shared)
+    sub.d = partition_of_unity(problem, sub, verts, chi_mine, total)
+    return sub
 
 
 def spmd_build_decomposition(comm: Comm, problem: Problem,
-                             part: np.ndarray, delta: int
-                             ) -> LocalSubdomain:
+                             part: np.ndarray, delta: int) -> Subdomain:
     """Entry point used by the tests/benchmarks: returns this rank's
-    locally-built subdomain; apply Jacobi scaling if the problem asks."""
+    locally-built subdomain, Jacobi-scaled from its own diagonal if the
+    problem asks."""
     part = np.asarray(part, dtype=np.int64)
     if delta < 1:
         raise DecompositionError(f"delta must be >= 1, got {delta}")
     sub = build_local_subdomain(comm, problem, part, delta)
     if problem.scaling == "jacobi":
-        s = 1.0 / np.sqrt(sub.A_dir.diagonal())
-        S = sp.diags(s)
-        sub.A_dir = (S @ sub.A_dir @ S).tocsr()
-        sub.A_neu = (S @ sub.A_neu @ S).tocsr()
+        apply_jacobi_scaling(sub, jacobi_scale(sub))
     return sub

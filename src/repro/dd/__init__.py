@@ -1,11 +1,12 @@
 """Overlapping domain decomposition substrate (paper §2)."""
 
-from .decomposition import Decomposition, Subdomain
+from .decomposition import Decomposition
 from .dofmap import map_scalar_dofs, map_vector_dofs
-from .overlap import all_overlaps, grow_overlap, vertex_layers
-from .pou import chi_tilde, expand_to_vector, pou_diagonal
+from .overlap import grow_overlap, vertex_layers
+from .pou import chi_tilde
 from .problem import Problem
 from .report import DecompositionReport, decomposition_report
+from .subdomain import Subdomain, build_subdomain
 
 __all__ = [
     "Problem",
@@ -13,12 +14,10 @@ __all__ = [
     "DecompositionReport",
     "Decomposition",
     "Subdomain",
+    "build_subdomain",
     "grow_overlap",
-    "all_overlaps",
     "vertex_layers",
     "chi_tilde",
-    "pou_diagonal",
-    "expand_to_vector",
     "map_scalar_dofs",
     "map_vector_dofs",
 ]

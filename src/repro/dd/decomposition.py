@@ -12,66 +12,31 @@ This is the algebraic heart of the paper's §2: every subdomain carries
 * and the actions of ``R_i R_jᵀ`` for every neighbour j — position index
   pairs aligned by global dof, which is all eq. (5) needs to compute the
   distributed matrix–vector product with purely local data.
+
+The first four come from :func:`repro.dd.subdomain.build_subdomain`,
+the one builder :mod:`repro.core.spmd_setup` shares; this module adds
+what needs every subdomain at once: the χ̃ sum, the scale vector and
+the exchange maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-import scipy.sparse as sp
 
 from ..common.errors import DecompositionError
 from ..common.validation import as_float64_block
-from ..fem.space import FunctionSpace
-from ..mesh import SimplexMesh
+from ..fem.assembly import _cell_geometry
 from ..parallel import ParallelConfig, parallel_map, resolve_parallel
-from .dofmap import map_vector_dofs
 from .overlap import grow_overlap
-from .pou import chi_tilde, expand_to_vector, pou_diagonal
+from .pou import chi_tilde
 from .problem import Problem
-
-
-@dataclass
-class Subdomain:
-    """All local data of one subdomain (one simulated MPI rank)."""
-
-    index: int
-    #: parent cell ids of T_i^δ and the layer at which each entered
-    cells: np.ndarray
-    layers: np.ndarray
-    #: local overlapping mesh Ω_i^δ and its FE space V_i^δ
-    mesh: SimplexMesh
-    space: FunctionSpace
-    #: R_i — reduced-global dof id of each kept local dof (length n_i)
-    dofs: np.ndarray
-    #: assembled (Dirichlet) matrix R_i A R_iᵀ
-    A_dir: sp.csr_matrix
-    #: unassembled (Neumann) matrix from discretising a on V_i^δ
-    A_neu: sp.csr_matrix
-    #: partition-of-unity diagonal D_i
-    d: np.ndarray
-    #: local right-hand side contribution? not stored; use restrict(b)
-    neighbors: list[int] = field(default_factory=list)
-    #: for each neighbour j, positions (into my local vector) of the dofs
-    #: shared with j, ordered by ascending global dof id — the two sides'
-    #: arrays align, giving the action of R_i R_jᵀ
-    shared: dict[int, np.ndarray] = field(default_factory=dict)
-    #: boolean mask of local dofs lying in the overlap ∪_j (V_i^δ ∩ V_j^δ)
-    #: — the R_{i,0} of the GenEO eigenproblem (eq. 9)
-    overlap_mask: np.ndarray | None = None
-    #: SPD surrogate of A_neu for the extended-GenEO pencil (the form's
-    #: ``assemble_geneo_matrix``); ``None`` for forms whose A_neu is
-    #: already symmetric positive semi-definite
-    A_geneo: sp.csr_matrix | None = None
-
-    @property
-    def size(self) -> int:
-        return int(self.dofs.size)
-
-    @property
-    def num_deflation_neighbors(self) -> int:
-        return len(self.neighbors)
+from .subdomain import (
+    Subdomain,
+    apply_jacobi_scaling,
+    build_subdomain,
+    jacobi_scale,
+    partition_of_unity,
+)
 
 
 class Decomposition:
@@ -87,7 +52,7 @@ class Decomposition:
         Overlap width δ >= 1 (the paper's strong-scaling runs use the
         minimal geometric overlap δ = 1).
     parallel:
-        Executor for the per-subdomain extraction/assembly loop
+        Executor for the per-subdomain build loop
         (:class:`~repro.parallel.ParallelConfig`, a backend name, or
         ``None`` for serial).  Results are executor-independent.
     recorder:
@@ -163,92 +128,37 @@ class Decomposition:
             return
         scale = np.zeros(self.problem.num_free)
         for s in self.subdomains:
-            # |diag|: indefinite operators carry negative diagonal
-            # entries; bitwise identical to sqrt(diag) for SPD forms
-            scale[s.dofs] = 1.0 / np.sqrt(np.abs(s.A_dir.diagonal()))
+            scale[s.dofs] = jacobi_scale(s)
         self.problem.set_scale(scale)
         for s in self.subdomains:
-            Si = sp.diags(scale[s.dofs])
-            s.A_dir = (Si @ s.A_dir @ Si).tocsr()
-            s.A_neu = (Si @ s.A_neu @ Si).tocsr()
-            if s.A_geneo is not None:
-                s.A_geneo = (Si @ s.A_geneo @ Si).tocsr()
+            apply_jacobi_scaling(s, scale[s.dofs])
 
     # ------------------------------------------------------------------
     def _build_subdomains(self) -> None:
         problem, delta = self.problem, self.delta
-        mesh, form = problem.mesh, problem.form
-        gspace = problem.space
+        mesh = problem.mesh
         N = self.num_subdomains
-
-        # pre-warm the shared caches every task reads (mesh topology and
-        # the global dof layout), so concurrent tasks never race to
-        # populate a lazily-computed attribute
+        # pre-warm the lazy global caches every task reads, so
+        # concurrent tasks never race to populate one
         mesh.vertex_to_cells
-        gspace.cell_scalar_dofs
-        gspace.cell_dofs
+        mesh.cell_diameters()
+        problem.space.cell_dofs
+        _cell_geometry(problem.space)
 
         # grow to δ+1 once; T_i^δ is the layer <= δ prefix
         grown = parallel_map(
             lambda i: grow_overlap(mesh, self.part, i, delta + 1),
             range(N), self.parallel)
-        overlaps_d = []
-        for cells, layers in grown:
-            keep = layers <= delta
-            overlaps_d.append((cells[keep], layers[keep]))
+        overlaps_d = [(cells[layers <= delta], layers[layers <= delta])
+                      for cells, layers in grown]
         chi, chi_total = chi_tilde(mesh, overlaps_d, delta)
 
         def build_one(i: int) -> Subdomain:
-            cells_dp1, _ = grown[i]
-            cells_d, layers_d = overlaps_d[i]
-
-            smesh1, vmap1, cmap1 = mesh.extract_cells(cells_dp1)
-            space1 = form.make_space(smesh1)
-            A_loc = form.assemble_matrix(space1, cell_map=cmap1)
-
-            smesh0, vmap0, cmap0 = mesh.extract_cells(cells_d)
-            space0 = form.make_space(smesh0)
-
-            g_d = map_vector_dofs(space0, gspace, vmap0, cmap0)
-            g_dp1 = map_vector_dofs(space1, gspace, vmap1, cmap1)
-            inv = np.full(gspace.num_dofs, -1, dtype=np.int64)
-            inv[g_dp1] = np.arange(g_dp1.size)
-            pos_in_dp1 = inv[g_d]
-            if np.any(pos_in_dp1 < 0):  # pragma: no cover - internal check
-                raise DecompositionError(
-                    f"V_{i}^δ not contained in V_{i}^(δ+1)")
-
-            reduced = problem.free_lookup[g_d]
-            keep = reduced >= 0
-            dofs = reduced[keep]
-
-            # Dirichlet matrix: trim the δ+1 assembly (approach 2 of §2)
-            sel = pos_in_dp1[keep]
-            A_dir = A_loc[sel][:, sel].tocsr()
-
-            # Neumann matrix: discretise directly on V_i^δ
-            A_neu = form.assemble_matrix(space0, cell_map=cmap0)
-            keep_idx = np.flatnonzero(keep)
-            A_neu = A_neu[keep_idx][:, keep_idx].tocsr()
-
-            # SPD surrogate for the extended-GenEO pencil, same V_i^δ
-            # reduction as A_neu (None for plain-GenEO-compatible forms)
-            A_geneo = form.assemble_geneo_matrix(space0, cell_map=cmap0)
-            if A_geneo is not None:
-                A_geneo = A_geneo[keep_idx][:, keep_idx].tocsr()
-
-            # partition-of-unity diagonal
+            sub = build_subdomain(problem, i, *grown[i], delta)
             verts, chi_vals = chi[i]
-            if not np.array_equal(verts, vmap0):  # pragma: no cover
-                raise DecompositionError(
-                    "vertex sets of χ̃ and submesh disagree")
-            d_scal = pou_diagonal(space0, chi_vals, chi_total[vmap0])
-            d = expand_to_vector(d_scal, gspace.ncomp)[keep]
-
-            return Subdomain(
-                index=i, cells=cells_d, layers=layers_d, mesh=smesh0,
-                space=space0, dofs=dofs, A_dir=A_dir, A_neu=A_neu, d=d,
-                A_geneo=A_geneo)
+            sub.d = partition_of_unity(problem, sub, verts, chi_vals,
+                                       chi_total[verts])
+            return sub
 
         self.subdomains = parallel_map(build_one, range(N), self.parallel)
 

@@ -1,18 +1,14 @@
 """Entity-based dof mapping between a submesh space and its parent space.
 
-Subdomain matrices are assembled on local submeshes (the paper's approach
-2: *"build the stiffness matrices yielded by the discretization of a on
-V_i^{δ+1}, then remove rows and columns"* — no global matrix, no global
-ordering needed at solver runtime).  For verification and for building the
-restriction index sets we still need the injection of local dofs into the
-parent numbering, which this module computes entity-by-entity:
-
-* vertex dofs map through the submesh ``vertex_map``;
-* edge dofs map through matching sorted global vertex pairs — the
-  ascending-id canonical orientation is preserved because ``vertex_map``
-  is monotonic;
-* face dofs (3D) map through matching sorted vertex triples;
-* cell-interior dofs map through ``cell_map``.
+The injection of a submesh space's dofs into the parent numbering,
+computed entity by entity: vertex dofs through the submesh
+``vertex_map``, edge dofs through matching sorted global vertex pairs
+(the ascending-id orientation survives because ``vertex_map`` is
+monotonic), face dofs (3D) through sorted vertex triples and
+cell-interior dofs through ``cell_map``.  Subdomain matrices do not
+need it (:mod:`repro.dd.subdomain` scatters element matrices of the
+global space); it is the independent reference they are checked
+against.
 """
 
 from __future__ import annotations

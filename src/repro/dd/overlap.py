@@ -9,7 +9,6 @@ is a function of that layer.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..common.errors import DecompositionError
 from ..mesh import SimplexMesh
@@ -47,14 +46,6 @@ def grow_overlap(mesh: SimplexMesh, part: np.ndarray, subdomain: int,
         current |= new
     cells = np.flatnonzero(layer >= 0)
     return cells, layer[cells]
-
-
-def all_overlaps(mesh: SimplexMesh, part: np.ndarray, delta: int,
-                 nparts: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`grow_overlap` for every subdomain."""
-    if nparts is None:
-        nparts = int(np.asarray(part).max()) + 1
-    return [grow_overlap(mesh, part, i, delta) for i in range(nparts)]
 
 
 def vertex_layers(mesh: SimplexMesh, cells: np.ndarray,

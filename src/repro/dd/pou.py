@@ -7,8 +7,9 @@
 
 and the partition of unity is χ_i = χ̃_i / Σ_j χ̃_j.  The diagonal matrix
 D_i is obtained by *linear interpolation* of χ_i at the dof nodes of the
-(typically higher-order) local space V_i^δ — exactly the construction of
-the paper (also used in Kimn & Sarkis).
+(typically higher-order) space V_i^δ — exactly the construction of the
+paper (also used in Kimn & Sarkis);
+:func:`repro.dd.subdomain.partition_of_unity` evaluates it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import DecompositionError
-from ..fem.space import FunctionSpace
 from ..mesh import SimplexMesh
 from .overlap import vertex_layers
 
@@ -52,32 +52,3 @@ def chi_tilde(mesh: SimplexMesh, overlaps: list[tuple[np.ndarray, np.ndarray]],
             "partition-of-unity sum vanished at a mesh vertex; the cell "
             "partition does not cover the mesh")
     return per_sub, total
-
-
-def pou_diagonal(space_d: FunctionSpace, chi_vertex: np.ndarray,
-                 total_vertex: np.ndarray) -> np.ndarray:
-    """D_i diagonal at the scalar dofs of the local δ-space.
-
-    *chi_vertex*/*total_vertex* are χ̃_i and Σ_j χ̃_j at the **local**
-    vertices of ``space_d.mesh``.  Both P1 functions are evaluated at each
-    Lagrange node by barycentric interpolation within any containing cell
-    (continuity makes the choice irrelevant), then divided.
-    """
-    mesh = space_d.mesh
-    if chi_vertex.shape != (mesh.num_vertices,):
-        raise DecompositionError("chi_vertex has wrong length")
-    bary = space_d.ref.nodes_bary.astype(np.float64) / space_d.degree
-    chi_c = chi_vertex[mesh.cells]                    # (nc, dim+1)
-    tot_c = total_vertex[mesh.cells]
-    chi_at = np.einsum("ld,cd->cl", bary, chi_c)
-    tot_at = np.einsum("ld,cd->cl", bary, tot_c)
-    vals = np.empty(space_d.num_scalar_dofs)
-    vals[space_d.cell_scalar_dofs.ravel()] = (chi_at / tot_at).ravel()
-    return vals
-
-
-def expand_to_vector(diag_scalar: np.ndarray, ncomp: int) -> np.ndarray:
-    """Repeat a scalar-dof diagonal across interleaved vector components."""
-    if ncomp == 1:
-        return diag_scalar
-    return np.repeat(diag_scalar, ncomp)

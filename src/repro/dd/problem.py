@@ -2,9 +2,12 @@
 
 The solvers all operate on the *reduced* SPD system (Dirichlet dofs
 eliminated), which matches the paper's setting where A is symmetric
-positive definite.  The global matrix is assembled **only on demand**
-(tests, one-level baselines, reference residuals); the domain-decomposition
-path never calls :meth:`Problem.matrix`.
+positive definite.  Setup needs only the load vector (:meth:`Problem.rhs`):
+the subdomain matrices come from
+:func:`repro.dd.subdomain.build_subdomain`.  The global matrix is
+assembled **only on demand** (tests, one-level baselines, reference
+residuals), straight into the free-dof pattern and never cached; the
+domain-decomposition path never calls :meth:`Problem.matrix`.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..common.errors import DecompositionError
+from ..fem.assembly import scatter_matrix
 from ..fem.forms import Form
 from ..fem.space import FunctionSpace
 from ..mesh import SimplexMesh
@@ -70,10 +74,16 @@ class Problem:
 
     # ------------------------------------------------------------------
     @cached_property
-    def _full_system(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        A = self.form.assemble_matrix(self.space)
-        b = self.form.assemble_rhs(self.space)
-        return A, b
+    def _load(self) -> np.ndarray:
+        return self.form.assemble_rhs(self.space)[self.free]
+
+    def _free_matrix(self) -> sp.csr_matrix:
+        """Unscaled A on the free dofs, scattered straight from the
+        element matrices (constrained rows/columns are dropped)."""
+        space = self.space
+        return scatter_matrix(self.form.element_matrices(space),
+                              space.cell_dofs, self.num_free,
+                              self.free_lookup)
 
     # -- symmetric Jacobi scaling --------------------------------------
     def set_scale(self, scale: np.ndarray) -> None:
@@ -91,8 +101,7 @@ class Problem:
         if self.scaling is None:
             return None
         if self._scale is None:
-            A, _ = self._full_system
-            d = A.diagonal()[self.free]
+            d = self._free_matrix().diagonal()
             # |d|: indefinite operators (Helmholtz past the resonance)
             # have negative diagonal entries; sqrt(d) would be NaN.
             # Bitwise identical to the old expression for SPD operators.
@@ -103,8 +112,7 @@ class Problem:
         """Reduced global stiffness matrix (assembled lazily; reference
         use only — the DD path never forms it).  Includes the symmetric
         scaling when enabled."""
-        A, _ = self._full_system
-        A = A[self.free][:, self.free].tocsr()
+        A = self._free_matrix()
         s = self.scale
         if s is not None:
             S = sp.diags(s)
@@ -113,10 +121,8 @@ class Problem:
 
     def rhs(self) -> np.ndarray:
         """Reduced (and scaled, if enabled) right-hand side."""
-        _, b = self._full_system
-        b = b[self.free]
         s = self.scale
-        return b if s is None else s * b
+        return self._load.copy() if s is None else s * self._load
 
     def extend(self, x_reduced: np.ndarray) -> np.ndarray:
         """Prolong a reduced solution to the full dof vector (zeros on the

@@ -7,12 +7,14 @@ Assembles the bilinear forms of the paper:
   (strong-scaling problem),
 * mass matrices and load vectors.
 
-All element matrices for all cells are computed in one batched einsum per
-quadrature-independent factor and scattered into a COO triplet list — no
-per-cell Python loop (see the project's HPC-Python guide on vectorising).
-Coefficients may be per-cell arrays (piecewise constant, how the paper's
-high-contrast fields are defined) or callables evaluated at quadrature
-points.
+Every bilinear kernel (``*_elements``) returns the ``(nc, nd, nd)``
+element matrices of given cell ids of a space (default: all), computed
+by batched einsums in fixed blocks of :data:`CELL_BLOCK` cells — no
+per-cell Python loop.  ``assemble_*`` scatters them over the whole
+space; :mod:`repro.dd.subdomain` scatters one subdomain's cells into
+its local matrices.  Coefficients may be per-cell arrays over the mesh
+(piecewise constant, how the paper's high-contrast fields are defined)
+or callables evaluated at quadrature points.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from ..common.errors import FEMError
 from .quadrature import simplex_quadrature
 from .space import FunctionSpace
 
+#: cells per batch of an element kernel: bounds the ``(block, nq, n_loc,
+#: dim)`` gradient temporaries while keeping every einsum vectorised
+CELL_BLOCK = 256
+
 
 # ----------------------------------------------------------------------
 # Geometry batches
@@ -32,12 +38,12 @@ from .space import FunctionSpace
 def _cell_geometry(space: FunctionSpace):
     """Jacobians, inverse Jacobians and |det J| for all cells.
 
-    Memoised on the space: stiffness, mass and load assembly all need the
-    same batch, and reassembling paths (elasticity's two forms, Picard's
-    per-iteration reassembly) would otherwise recompute every cell
-    Jacobian/inverse/determinant each time.  Meshes are never mutated in
-    place (refinement returns new meshes, hence new spaces), so the cache
-    cannot go stale.
+    Memoised on the space: every kernel and every subdomain reads rows
+    of the same batch, and reassembling paths (elasticity's two forms,
+    Picard's per-iteration reassembly) would otherwise recompute every
+    cell Jacobian/inverse/determinant each time.  Meshes are never
+    mutated in place (refinement returns new meshes, hence new spaces),
+    so the cache cannot go stale.
     """
     cached = getattr(space, "_cell_geometry_cache", None)
     if cached is not None:
@@ -53,22 +59,26 @@ def _cell_geometry(space: FunctionSpace):
     return space._cell_geometry_cache
 
 
-def _coefficient_at_quadrature(coeff, space: FunctionSpace, qpts: np.ndarray,
-                               name: str) -> np.ndarray:
-    """Evaluate *coeff* as a ``(nc, nq)`` array.
+def _physical_points(mesh, cells: np.ndarray, qpts: np.ndarray) -> np.ndarray:
+    """Quadrature points of *cells* in physical space, ``(nc, nq, dim)``."""
+    v = mesh.vertices[mesh.cells[cells]]
+    origin = v[:, 0, :]
+    edges = v[:, 1:, :] - v[:, :1, :]
+    return origin[:, None, :] + np.einsum("qd,cde->cqe", qpts, edges)
 
-    Accepts: None (=> 1), a scalar, a per-cell array of length ``nc``, or a
-    callable mapping ``(n, dim)`` physical points to values.
+
+def _coefficient_at_quadrature(coeff, mesh, cells: np.ndarray,
+                               qpts: np.ndarray, name: str) -> np.ndarray:
+    """Evaluate *coeff* on *cells* as a ``(nc, nq)`` array.
+
+    Accepts: None (=> 1), a scalar, a per-cell array over the whole
+    mesh, or a callable mapping ``(n, dim)`` physical points to values.
     """
-    mesh = space.mesh
-    nc, nq = mesh.num_cells, qpts.shape[0]
+    nc, nq = cells.size, qpts.shape[0]
     if coeff is None:
         return np.ones((nc, nq))
     if callable(coeff):
-        v = mesh.vertices[mesh.cells]
-        origin = v[:, 0, :]
-        edges = v[:, 1:, :] - v[:, :1, :]
-        phys = origin[:, None, :] + np.einsum("qd,cde->cqe", qpts, edges)
+        phys = _physical_points(mesh, cells, qpts)
         vals = np.asarray(coeff(phys.reshape(-1, mesh.dim)), dtype=np.float64)
         if vals.shape != (nc * nq,):
             raise FEMError(f"{name} callable returned shape {vals.shape}, "
@@ -77,28 +87,25 @@ def _coefficient_at_quadrature(coeff, space: FunctionSpace, qpts: np.ndarray,
     arr = np.asarray(coeff, dtype=np.float64)
     if arr.ndim == 0:
         return np.full((nc, nq), float(arr))
-    if arr.shape == (nc,):
-        return np.repeat(arr[:, None], nq, axis=1)
+    if arr.shape == (mesh.num_cells,):
+        return np.repeat(arr[cells, None], nq, axis=1)
     raise FEMError(f"{name} must be None, scalar, per-cell array of length "
-                   f"{nc}, or callable; got array of shape {arr.shape}")
+                   f"{mesh.num_cells}, or callable; got array of shape "
+                   f"{arr.shape}")
 
 
-def _vector_coefficient_at_quadrature(coeff, space: FunctionSpace,
+def _vector_coefficient_at_quadrature(coeff, mesh, cells: np.ndarray,
                                       qpts: np.ndarray,
                                       name: str) -> np.ndarray:
-    """Evaluate a vector-valued *coeff* as a ``(nc, nq, dim)`` array.
+    """Evaluate a vector-valued *coeff* on *cells* as ``(nc, nq, dim)``.
 
     Accepts: a constant vector of length ``dim``, a per-cell ``(nc, dim)``
-    array, or a callable mapping ``(n, dim)`` physical points to
-    ``(n, dim)`` vectors.
+    array over the whole mesh, or a callable mapping ``(n, dim)``
+    physical points to ``(n, dim)`` vectors.
     """
-    mesh = space.mesh
-    nc, nq, dim = mesh.num_cells, qpts.shape[0], mesh.dim
+    nc, nq, dim = cells.size, qpts.shape[0], mesh.dim
     if callable(coeff):
-        v = mesh.vertices[mesh.cells]
-        origin = v[:, 0, :]
-        edges = v[:, 1:, :] - v[:, :1, :]
-        phys = origin[:, None, :] + np.einsum("qd,cde->cqe", qpts, edges)
+        phys = _physical_points(mesh, cells, qpts)
         vals = np.asarray(coeff(phys.reshape(-1, dim)), dtype=np.float64)
         if vals.shape != (nc * nq, dim):
             raise FEMError(f"{name} callable returned shape {vals.shape}, "
@@ -107,85 +114,137 @@ def _vector_coefficient_at_quadrature(coeff, space: FunctionSpace,
     arr = np.asarray(coeff, dtype=np.float64)
     if arr.shape == (dim,):
         return np.broadcast_to(arr, (nc, nq, dim)).copy()
-    if arr.shape == (nc, dim):
-        return np.repeat(arr[:, None, :], nq, axis=1)
+    if arr.shape == (mesh.num_cells, dim):
+        return np.repeat(arr[cells, None, :], nq, axis=1)
     raise FEMError(f"{name} must be a length-{dim} vector, a per-cell "
-                   f"({nc}, {dim}) array, or a callable; got shape "
-                   f"{arr.shape}")
+                   f"({mesh.num_cells}, {dim}) array, or a callable; got "
+                   f"shape {arr.shape}")
 
 
-def _physical_gradients(space: FunctionSpace, qpts: np.ndarray):
-    """Per-cell physical basis gradients ``(nc, nq, n_loc, dim)`` and the
-    quadrature scaling ``w_q |det J|`` of shape ``(nc, nq)``."""
+def _physical_gradients(space: FunctionSpace, cells: np.ndarray,
+                        gref: np.ndarray):
+    """Physical basis gradients ``(nc, nq, n_loc, dim)`` of *cells* from
+    the reference gradients *gref* ``(nq, n_loc, dim)``, and their
+    ``|det J|``."""
     _, Jinv, detJ = _cell_geometry(space)
-    gref = space.ref.eval_basis_grads(qpts)       # (nq, n_loc, dim)
-    # physical grad = J^{-T} @ ref grad  =>  g_phys[d] = sum_e Jinv[e, d] gref[e]
-    gphys = np.einsum("ced,qie->cqid", Jinv, gref)
-    return gphys, detJ
+    Jinv = Jinv[cells]
+    nq, n_loc, dim = gref.shape
+    g = gref.reshape(nq * n_loc, dim)
+    # physical grad = J^{-T} @ ref grad: g_phys[d] = Σ_e Jinv[e, d] gref[e],
+    # summed over e in order — bitwise einsum's c_einsum result (so
+    # exactly cancelling entries stay exactly zero), 5-7x faster
+    gphys = np.empty((cells.size, nq * n_loc, dim))
+    for d in range(dim):
+        acc = np.multiply.outer(Jinv[:, 0, d], g[:, 0])
+        for e in range(1, dim):
+            acc += np.multiply.outer(Jinv[:, e, d], g[:, e])
+        gphys[:, :, d] = acc
+    return gphys.reshape(cells.size, nq, n_loc, dim), detJ[cells]
 
 
-def _scatter(space: FunctionSpace, Ke: np.ndarray, *, vector: bool) -> sp.csr_matrix:
-    """Scatter batched element matrices ``(nc, nd, nd)`` to global CSR."""
-    dofs = space.cell_dofs if vector else space.cell_scalar_dofs
-    nc, nd = dofs.shape
-    rows = np.repeat(dofs, nd, axis=1).ravel()
-    cols = np.tile(dofs, (1, nd)).ravel()
-    n = space.num_dofs if vector else space.num_scalar_dofs
-    A = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n))
-    return A.tocsr()
+def _rule(space: FunctionSpace, quad_degree: int | None, default: int):
+    """Quadrature points and weights of degree *quad_degree* (or
+    *default*) on the reference cell of *space*."""
+    return simplex_quadrature(space.mesh.dim, default if quad_degree is None
+                              else quad_degree)
 
 
-# ----------------------------------------------------------------------
-# Bilinear forms
-# ----------------------------------------------------------------------
+def _blocked(kernel, space: FunctionSpace, cells, nd: int) -> np.ndarray:
+    """``(nc, nd, nd)`` element matrices of *cells* (default: all cells of
+    *space*), filled by ``kernel(block)`` one block of cells at a time."""
+    if cells is None:
+        cells = np.arange(space.mesh.num_cells)
+    cells = np.asarray(cells, dtype=np.int64)
+    out = np.empty((cells.size, nd, nd))
+    for start in range(0, cells.size, CELL_BLOCK):
+        block = cells[start:start + CELL_BLOCK]
+        out[start:start + block.size] = kernel(block)
+    return out
 
-def assemble_stiffness(space: FunctionSpace, kappa=None,
-                       quad_degree: int | None = None) -> sp.csr_matrix:
-    """Heterogeneous diffusion stiffness matrix ``∫ κ ∇u·∇v``.
 
-    *space* must be scalar (ncomp == 1).  ``κ`` as per
-    :func:`_coefficient_at_quadrature`.
+def scatter_matrix(Ke: np.ndarray, cell_dofs: np.ndarray, n: int,
+                   positions: np.ndarray | None = None) -> sp.csr_matrix:
+    """Sum element matrices ``Ke (nc, nd, nd)`` with dofs ``cell_dofs
+    (nc, nd)`` into an ``n × n`` CSR matrix.
+
+    *positions* maps a dof to its row/column (entries mapped to ``-1``
+    are dropped) — how the free-dof block is assembled without first
+    forming the whole matrix.
     """
+    loc = cell_dofs if positions is None else positions[cell_dofs]
+    loc = loc.astype(np.int32, copy=False)
+    nd = loc.shape[1]
+    rows = np.repeat(loc, nd, axis=1).ravel()
+    cols = np.tile(loc, (1, nd)).ravel()
+    vals = Ke.ravel()
+    if positions is not None:
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _scatter(space: FunctionSpace, Ke: np.ndarray) -> sp.csr_matrix:
+    """Scatter all-cell element matrices to the global CSR matrix."""
+    return scatter_matrix(Ke, space.cell_dofs, space.num_dofs)
+
+
+def _require_scalar(space: FunctionSpace, what: str) -> None:
     if space.ncomp != 1:
-        raise FEMError("assemble_stiffness requires a scalar space; "
-                       "use assemble_elasticity for vector problems")
-    k = space.degree
-    qd = quad_degree if quad_degree is not None else max(0, 2 * (k - 1))
-    qpts, qw = simplex_quadrature(space.mesh.dim, qd)
-    gphys, detJ = _physical_gradients(space, qpts)
-    kap = _coefficient_at_quadrature(kappa, space, qpts, "kappa")
-    scale = kap * (qw[None, :] * detJ[:, None])   # (nc, nq)
-    Ke = np.einsum("cq,cqid,cqjd->cij", scale, gphys, gphys, optimize=True)
-    return _scatter(space, Ke, vector=False)
+        raise FEMError(f"{what} requires a scalar space")
 
 
-def assemble_mass(space: FunctionSpace, rho=None,
-                  quad_degree: int | None = None) -> sp.csr_matrix:
-    """Mass matrix ``∫ ρ u v`` (scalar or vector; vector mass is block
-    diagonal per component)."""
-    k = space.degree
-    qd = quad_degree if quad_degree is not None else 2 * k
-    qpts, qw = simplex_quadrature(space.mesh.dim, qd)
+# ----------------------------------------------------------------------
+# Bilinear forms: element kernels
+# ----------------------------------------------------------------------
+
+def stiffness_elements(space: FunctionSpace, cells=None, kappa=None,
+                       quad_degree: int | None = None) -> np.ndarray:
+    """Element matrices of the heterogeneous diffusion stiffness
+    ``∫ κ ∇u·∇v`` on *cells* of a scalar space; ``κ`` as per
+    :func:`_coefficient_at_quadrature`."""
+    _require_scalar(space, "assemble_stiffness")
+    qpts, qw = _rule(space, quad_degree, max(0, 2 * (space.degree - 1)))
+    gref = space.ref.eval_basis_grads(qpts)       # (nq, n_loc, dim)
+
+    def kernel(c):
+        gphys, detJ = _physical_gradients(space, c, gref)
+        kap = _coefficient_at_quadrature(kappa, space.mesh, c, qpts, "kappa")
+        scale = kap * (qw[None, :] * detJ[:, None])   # (nc, nq)
+        return np.einsum("cq,cqid,cqjd->cij", scale, gphys, gphys,
+                         optimize=True)
+
+    return _blocked(kernel, space, cells, gref.shape[1])
+
+
+def mass_elements(space: FunctionSpace, cells=None, rho=None,
+                  quad_degree: int | None = None) -> np.ndarray:
+    """Element matrices of ``∫ ρ u v`` on *cells* (scalar or vector; the
+    vector mass is block diagonal per component)."""
+    qpts, qw = _rule(space, quad_degree, 2 * space.degree)
     _, _, detJ = _cell_geometry(space)
     phi = space.ref.eval_basis(qpts)              # (nq, n_loc)
-    rho_q = _coefficient_at_quadrature(rho, space, qpts, "rho")
-    scale = rho_q * (qw[None, :] * detJ[:, None])
-    Me_scalar = np.einsum("cq,qi,qj->cij", scale, phi, phi, optimize=True)
-    if space.ncomp == 1:
-        return _scatter(space, Me_scalar, vector=False)
-    # expand to interleaved vector layout: M[i*nc+a, j*nc+b] = delta_ab * m_ij
-    nc_cells, n_loc, _ = Me_scalar.shape
     ncmp = space.ncomp
-    nd = n_loc * ncmp
-    Me = np.zeros((nc_cells, nd, nd))
-    for a in range(ncmp):
-        Me[:, a::ncmp, a::ncmp] = Me_scalar
-    return _scatter(space, Me, vector=True)
+
+    def kernel(c):
+        rho_q = _coefficient_at_quadrature(rho, space.mesh, c, qpts, "rho")
+        scale = rho_q * (qw[None, :] * detJ[c][:, None])
+        Me_scalar = np.einsum("cq,qi,qj->cij", scale, phi, phi,
+                              optimize=True)
+        if ncmp == 1:
+            return Me_scalar
+        # interleaved vector layout: M[i*nc+a, j*nc+b] = delta_ab * m_ij
+        n_loc = phi.shape[1]
+        Me = np.zeros((c.size, n_loc * ncmp, n_loc * ncmp))
+        for a in range(ncmp):
+            Me[:, a::ncmp, a::ncmp] = Me_scalar
+        return Me
+
+    return _blocked(kernel, space, cells, phi.shape[1] * ncmp)
 
 
-def assemble_elasticity(space: FunctionSpace, lam, mu,
-                        quad_degree: int | None = None) -> sp.csr_matrix:
-    """Linear elasticity stiffness ``∫ λ (∇·u)(∇·v) + 2 μ ε(u):ε(v)``.
+def elasticity_elements(space: FunctionSpace, cells=None, lam=None, mu=None,
+                        quad_degree: int | None = None) -> np.ndarray:
+    """Element matrices of ``∫ λ (∇·u)(∇·v) + 2 μ ε(u):ε(v)`` on *cells*.
 
     *space* must have ``ncomp == mesh.dim``.  ``lam``/``mu`` are the Lamé
     coefficient fields (scalar, per-cell array or callable).
@@ -199,111 +258,135 @@ def assemble_elasticity(space: FunctionSpace, lam, mu,
     if space.ncomp != dim:
         raise FEMError(f"elasticity requires ncomp == dim == {dim}, "
                        f"got ncomp={space.ncomp}")
-    k = space.degree
-    qd = quad_degree if quad_degree is not None else max(0, 2 * (k - 1))
-    qpts, qw = simplex_quadrature(dim, qd)
-    gphys, detJ = _physical_gradients(space, qpts)
-    lam_q = _coefficient_at_quadrature(lam, space, qpts, "lam")
-    mu_q = _coefficient_at_quadrature(mu, space, qpts, "mu")
-    wdet = qw[None, :] * detJ[:, None]
-    lam_s = lam_q * wdet
-    mu_s = mu_q * wdet
-
-    # λ (∇·u)(∇·v):  K[iα, jβ] += λ G_iα G_jβ
-    K_lam = np.einsum("cq,cqia,cqjb->ciajb", lam_s, gphys, gphys,
-                      optimize=True)
-    # 2 μ ε:ε, part 1: μ ∂_β φ_i ∂_α φ_j
-    K_mu1 = np.einsum("cq,cqib,cqja->ciajb", mu_s, gphys, gphys,
-                      optimize=True)
-    # part 2: μ δ_αβ ∇φ_i·∇φ_j
-    gdot = np.einsum("cq,cqid,cqjd->cij", mu_s, gphys, gphys, optimize=True)
+    qpts, qw = _rule(space, quad_degree, max(0, 2 * (space.degree - 1)))
+    gref = space.ref.eval_basis_grads(qpts)
+    nd = gref.shape[1] * dim
     eye = np.eye(dim)
-    K_mu2 = np.einsum("cij,ab->ciajb", gdot, eye, optimize=True)
 
-    Ke = K_lam + K_mu1 + K_mu2
-    nc_cells, n_loc = Ke.shape[0], Ke.shape[1]
-    nd = n_loc * dim
-    return _scatter(space, Ke.reshape(nc_cells, nd, nd), vector=True)
+    def kernel(c):
+        gphys, detJ = _physical_gradients(space, c, gref)
+        wdet = qw[None, :] * detJ[:, None]
+        lam_s = _coefficient_at_quadrature(lam, space.mesh, c, qpts,
+                                           "lam") * wdet
+        mu_s = _coefficient_at_quadrature(mu, space.mesh, c, qpts,
+                                          "mu") * wdet
+        # λ (∇·u)(∇·v):  K[iα, jβ] += λ G_iα G_jβ
+        Ke = np.einsum("cq,cqia,cqjb->ciajb", lam_s, gphys, gphys,
+                       optimize=True)
+        # 2 μ ε:ε, part 1: μ ∂_β φ_i ∂_α φ_j
+        Ke += np.einsum("cq,cqib,cqja->ciajb", mu_s, gphys, gphys,
+                        optimize=True)
+        # part 2: μ δ_αβ ∇φ_i·∇φ_j
+        gdot = np.einsum("cq,cqid,cqjd->cij", mu_s, gphys, gphys,
+                         optimize=True)
+        Ke += np.einsum("cij,ab->ciajb", gdot, eye, optimize=True)
+        return Ke.reshape(c.size, nd, nd)
+
+    return _blocked(kernel, space, cells, nd)
 
 
-def assemble_advection(space: FunctionSpace, beta,
-                       quad_degree: int | None = None) -> sp.csr_matrix:
-    """Advection matrix ``∫ (β·∇u) v`` — the nonsymmetric half of the
-    convection–diffusion operator.
+def advection_elements(space: FunctionSpace, cells=None, beta=None,
+                       quad_degree: int | None = None) -> np.ndarray:
+    """Element matrices of ``∫ (β·∇u) v`` on *cells* (rows: test
+    function v, columns: trial function u) — the nonsymmetric half of
+    the convection–diffusion operator.
 
-    *space* must be scalar.  ``β`` as per
-    :func:`_vector_coefficient_at_quadrature`.  For constant ``β`` and
-    homogeneous Dirichlet conditions on the whole boundary, the
-    restriction of this matrix to the free dofs is exactly
-    skew-symmetric (integration by parts with ∇·β = 0).
+    ``β`` as per :func:`_vector_coefficient_at_quadrature`.  For
+    constant ``β`` and homogeneous Dirichlet conditions on the whole
+    boundary, the assembled free-dof block is exactly skew-symmetric
+    (integration by parts with ∇·β = 0).
     """
-    if space.ncomp != 1:
-        raise FEMError("assemble_advection requires a scalar space")
-    k = space.degree
-    qd = quad_degree if quad_degree is not None else max(0, 2 * k - 1)
-    qpts, qw = simplex_quadrature(space.mesh.dim, qd)
-    gphys, detJ = _physical_gradients(space, qpts)
+    _require_scalar(space, "assemble_advection")
+    qpts, qw = _rule(space, quad_degree, max(0, 2 * space.degree - 1))
+    gref = space.ref.eval_basis_grads(qpts)
     phi = space.ref.eval_basis(qpts)              # (nq, n_loc)
-    beta_q = _vector_coefficient_at_quadrature(beta, space, qpts, "beta")
-    wdet = qw[None, :] * detJ[:, None]            # (nc, nq)
-    # rows i = test function v, cols j = trial function u
-    bgrad = np.einsum("cqd,cqjd->cqj", beta_q, gphys, optimize=True)
-    Ke = np.einsum("cq,qi,cqj->cij", wdet, phi, bgrad, optimize=True)
-    return _scatter(space, Ke, vector=False)
+
+    def kernel(c):
+        gphys, detJ = _physical_gradients(space, c, gref)
+        beta_q = _vector_coefficient_at_quadrature(beta, space.mesh, c, qpts,
+                                                   "beta")
+        wdet = qw[None, :] * detJ[:, None]        # (nc, nq)
+        bgrad = np.einsum("cqd,cqjd->cqj", beta_q, gphys, optimize=True)
+        return np.einsum("cq,qi,cqj->cij", wdet, phi, bgrad, optimize=True)
+
+    return _blocked(kernel, space, cells, phi.shape[1])
 
 
-def assemble_streamline_diffusion(space: FunctionSpace, beta, tau,
+def streamline_diffusion_elements(space: FunctionSpace, cells=None,
+                                  beta=None, tau=0.0,
                                   quad_degree: int | None = None
-                                  ) -> sp.csr_matrix:
-    """SUPG stabilisation matrix ``∫ τ (β·∇u)(β·∇v)`` with a per-cell
-    stabilisation parameter ``τ`` (symmetric positive semi-definite)."""
-    if space.ncomp != 1:
-        raise FEMError("assemble_streamline_diffusion requires a "
-                       "scalar space")
-    k = space.degree
-    qd = quad_degree if quad_degree is not None else max(0, 2 * k - 1)
-    qpts, qw = simplex_quadrature(space.mesh.dim, qd)
-    gphys, detJ = _physical_gradients(space, qpts)
-    beta_q = _vector_coefficient_at_quadrature(beta, space, qpts, "beta")
-    tau_c = np.asarray(tau, dtype=np.float64)
-    if tau_c.ndim == 0:
-        tau_c = np.full(space.mesh.num_cells, float(tau_c))
-    if tau_c.shape != (space.mesh.num_cells,):
-        raise FEMError(f"tau must be scalar or per-cell array of length "
-                       f"{space.mesh.num_cells}, got shape {tau_c.shape}")
-    wdet = qw[None, :] * detJ[:, None]
-    bgrad = np.einsum("cqd,cqid->cqi", beta_q, gphys, optimize=True)
-    scale = tau_c[:, None] * wdet                 # (nc, nq)
-    Ke = np.einsum("cq,cqi,cqj->cij", scale, bgrad, bgrad, optimize=True)
-    return _scatter(space, Ke, vector=False)
+                                  ) -> np.ndarray:
+    """Element matrices of the SUPG stabilisation ``∫ τ (β·∇u)(β·∇v)``
+    on *cells* (symmetric positive semi-definite), with ``τ`` a scalar
+    or per-cell array over the whole mesh."""
+    _require_scalar(space, "assemble_streamline_diffusion")
+    qpts, qw = _rule(space, quad_degree, max(0, 2 * space.degree - 1))
+    gref = space.ref.eval_basis_grads(qpts)
+
+    def kernel(c):
+        gphys, detJ = _physical_gradients(space, c, gref)
+        beta_q = _vector_coefficient_at_quadrature(beta, space.mesh, c, qpts,
+                                                   "beta")
+        tau_q = _coefficient_at_quadrature(tau, space.mesh, c, qpts, "tau")
+        bgrad = np.einsum("cqd,cqid->cqi", beta_q, gphys, optimize=True)
+        scale = tau_q * (qw[None, :] * detJ[:, None])     # (nc, nq)
+        return np.einsum("cq,cqi,cqj->cij", scale, bgrad, bgrad,
+                         optimize=True)
+
+    return _blocked(kernel, space, cells, gref.shape[1])
 
 
-def assemble_streamline_load(space: FunctionSpace, beta, tau, f,
-                             quad_degree: int | None = None) -> np.ndarray:
-    """SUPG right-hand-side correction ``∫ τ f (β·∇v)`` — keeps the
-    stabilised discretisation consistent for the exact solution."""
-    if space.ncomp != 1:
-        raise FEMError("assemble_streamline_load requires a scalar space")
-    k = space.degree
-    qd = quad_degree if quad_degree is not None else max(0, 2 * k - 1)
-    qpts, qw = simplex_quadrature(space.mesh.dim, qd)
-    gphys, detJ = _physical_gradients(space, qpts)
-    beta_q = _vector_coefficient_at_quadrature(beta, space, qpts, "beta")
-    fq = _coefficient_at_quadrature(f, space, qpts, "f")
-    tau_c = np.asarray(tau, dtype=np.float64)
-    if tau_c.ndim == 0:
-        tau_c = np.full(space.mesh.num_cells, float(tau_c))
-    wdet = qw[None, :] * detJ[:, None]
-    bgrad = np.einsum("cqd,cqid->cqi", beta_q, gphys, optimize=True)
-    be = np.einsum("c,cq,cq,cqi->ci", tau_c, wdet, fq, bgrad, optimize=True)
-    b = np.zeros(space.num_dofs)
-    np.add.at(b, space.cell_scalar_dofs.ravel(), be.ravel())
-    return b
+# ----------------------------------------------------------------------
+# Bilinear forms: global matrices (the kernels above, scattered)
+# ----------------------------------------------------------------------
+
+def assemble_stiffness(space, kappa=None, quad_degree=None) -> sp.csr_matrix:
+    return _scatter(space, stiffness_elements(space, None, kappa, quad_degree))
+
+
+def assemble_mass(space, rho=None, quad_degree=None) -> sp.csr_matrix:
+    return _scatter(space, mass_elements(space, None, rho, quad_degree))
+
+
+def assemble_elasticity(space, lam, mu, quad_degree=None) -> sp.csr_matrix:
+    return _scatter(space, elasticity_elements(space, None, lam, mu,
+                                               quad_degree))
+
+
+def assemble_advection(space, beta, quad_degree=None) -> sp.csr_matrix:
+    return _scatter(space, advection_elements(space, None, beta, quad_degree))
+
+
+def assemble_streamline_diffusion(space, beta, tau,
+                                  quad_degree=None) -> sp.csr_matrix:
+    return _scatter(space, streamline_diffusion_elements(
+        space, None, beta, tau, quad_degree))
 
 
 # ----------------------------------------------------------------------
 # Linear forms
 # ----------------------------------------------------------------------
+
+def assemble_streamline_load(space: FunctionSpace, beta, tau, f,
+                             quad_degree: int | None = None) -> np.ndarray:
+    """SUPG right-hand-side correction ``∫ τ f (β·∇v)`` — keeps the
+    stabilised discretisation consistent for the exact solution."""
+    _require_scalar(space, "assemble_streamline_load")
+    mesh = space.mesh
+    qpts, qw = _rule(space, quad_degree, max(0, 2 * space.degree - 1))
+    cells = np.arange(mesh.num_cells)
+    gphys, detJ = _physical_gradients(space, cells,
+                                      space.ref.eval_basis_grads(qpts))
+    beta_q = _vector_coefficient_at_quadrature(beta, mesh, cells, qpts, "beta")
+    fq = _coefficient_at_quadrature(f, mesh, cells, qpts, "f")
+    tau_q = _coefficient_at_quadrature(tau, mesh, cells, qpts, "tau")
+    wdet = qw[None, :] * detJ[:, None]
+    bgrad = np.einsum("cqd,cqid->cqi", beta_q, gphys, optimize=True)
+    be = np.einsum("cq,cq,cq,cqi->ci", tau_q, wdet, fq, bgrad, optimize=True)
+    b = np.zeros(space.num_dofs)
+    np.add.at(b, space.cell_scalar_dofs.ravel(), be.ravel())
+    return b
+
 
 def assemble_load(space: FunctionSpace, f, quad_degree: int | None = None) -> np.ndarray:
     """Load vector ``(f, v)``.
@@ -313,18 +396,13 @@ def assemble_load(space: FunctionSpace, f, quad_degree: int | None = None) -> np
     length ``ncomp``.
     """
     mesh = space.mesh
-    k = space.degree
-    qd = quad_degree if quad_degree is not None else 2 * k
-    qpts, qw = simplex_quadrature(mesh.dim, qd)
+    qpts, qw = _rule(space, quad_degree, 2 * space.degree)
     _, _, detJ = _cell_geometry(space)
     phi = space.ref.eval_basis(qpts)              # (nq, n_loc)
     nc, nq = mesh.num_cells, qpts.shape[0]
 
     if callable(f):
-        v = mesh.vertices[mesh.cells]
-        origin = v[:, 0, :]
-        edges = v[:, 1:, :] - v[:, :1, :]
-        phys = origin[:, None, :] + np.einsum("qd,cde->cqe", qpts, edges)
+        phys = _physical_points(mesh, np.arange(nc), qpts)
         vals = np.asarray(f(phys.reshape(-1, mesh.dim)), dtype=np.float64)
         expect = (nc * nq,) if space.ncomp == 1 else (nc * nq, space.ncomp)
         if vals.shape != expect:

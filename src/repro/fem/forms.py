@@ -1,11 +1,10 @@
-"""Problem forms: restartable assembly recipes for global and local meshes.
+"""Problem forms: variational formulations as element kernels.
 
-Domain decomposition assembles the *same* bilinear form on many meshes —
-the global mesh (only in tests/baselines), each T_i^{δ+1} (Dirichlet
-matrices via trimming) and each T_i^δ (Neumann matrices for GenEO).  A
-:class:`Form` captures the variational formulation plus its per-cell
-coefficient fields, and knows how to restrict the coefficients when
-assembling on a submesh (via the submesh's parent ``cell_map``).
+A :class:`Form` captures the variational formulation plus its per-cell
+coefficient fields over the global mesh, and returns the element
+matrices of any cell subset of the global space
+(:meth:`Form.element_matrices`) — each T_i^{δ+1} and T_i^δ of domain
+decomposition, or the whole mesh; every matrix is a scatter of those.
 """
 
 from __future__ import annotations
@@ -18,36 +17,18 @@ import scipy.sparse as sp
 from ..common.errors import FEMError
 from ..mesh import SimplexMesh
 from .assembly import (
-    assemble_advection,
-    assemble_elasticity,
+    _coefficient_at_quadrature,
+    _vector_coefficient_at_quadrature,
+    advection_elements,
     assemble_load,
-    assemble_mass,
-    assemble_stiffness,
-    assemble_streamline_diffusion,
     assemble_streamline_load,
+    elasticity_elements,
+    mass_elements,
+    scatter_matrix,
+    stiffness_elements,
+    streamline_diffusion_elements,
 )
 from .space import FunctionSpace
-
-
-def _restrict(coeff, cell_map):
-    """Restrict a coefficient to submesh cells (per-cell arrays only)."""
-    if coeff is None or np.isscalar(coeff) or callable(coeff):
-        return coeff
-    arr = np.asarray(coeff)
-    if cell_map is None:
-        return arr
-    return arr[cell_map]
-
-
-def _restrict_vector(coeff, cell_map):
-    """Restrict a vector coefficient: only per-cell ``(nc, dim)`` arrays
-    are indexed — constant vectors and callables pass through."""
-    if coeff is None or callable(coeff) or cell_map is None:
-        return coeff
-    arr = np.asarray(coeff)
-    if arr.ndim == 2:
-        return arr[cell_map]
-    return arr
 
 
 class Form:
@@ -66,17 +47,16 @@ class Form:
     def make_space(self, mesh: SimplexMesh) -> FunctionSpace:
         return FunctionSpace(mesh, self.degree, self.ncomp)
 
-    def assemble_matrix(self, space: FunctionSpace,
-                        cell_map=None) -> sp.csr_matrix:  # pragma: no cover
+    def element_matrices(self, space: FunctionSpace,
+                         cells=None) -> np.ndarray:  # pragma: no cover
+        """``(nc, nd, nd)`` element matrices of the operator on *cells*
+        of *space* (default: all), in ``space.cell_dofs`` order."""
         raise NotImplementedError
 
-    def assemble_rhs(self, space: FunctionSpace,
-                     cell_map=None) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-    def assemble_geneo_matrix(self, space: FunctionSpace,
-                              cell_map=None) -> sp.csr_matrix | None:
-        """SPD surrogate for the extended-GenEO pencil (Nataf–Parolin).
+    def geneo_element_matrices(self, space: FunctionSpace,
+                               cells=None) -> np.ndarray | None:
+        """Element matrices of the SPD surrogate for the extended-GenEO
+        pencil (Nataf–Parolin).
 
         Nonsymmetric/indefinite forms override this with the symmetric
         positive (semi-)definite part of their operator — the principal
@@ -86,13 +66,27 @@ class Form:
         """
         return None
 
+    def assemble_matrix(self, space: FunctionSpace) -> sp.csr_matrix:
+        return scatter_matrix(self.element_matrices(space), space.cell_dofs,
+                              space.num_dofs)
+
+    def assemble_geneo_matrix(self, space: FunctionSpace
+                              ) -> sp.csr_matrix | None:
+        Ke = self.geneo_element_matrices(space)
+        return (None if Ke is None
+                else scatter_matrix(Ke, space.cell_dofs, space.num_dofs))
+
+    def assemble_rhs(self, space: FunctionSpace
+                     ) -> np.ndarray:  # pragma: no cover
+        raise NotImplementedError
+
 
 @dataclass
 class DiffusionForm(Form):
     """``a(u, v) = ∫ κ ∇u·∇v``, ``l(v) = ∫ f v`` — the paper's weak-scaling
     problem (Darcy / porous-media flow, fig. 9).
 
-    ``kappa`` may be a scalar, per-cell array on the *parent* mesh, or a
+    ``kappa`` may be a scalar, per-cell array on the mesh, or a
     callable; ``f`` a scalar or callable.
     """
 
@@ -102,12 +96,10 @@ class DiffusionForm(Form):
 
     ncomp: int = 1
 
-    def assemble_matrix(self, space, cell_map=None):
-        if space.ncomp != 1:
-            raise FEMError("DiffusionForm requires a scalar space")
-        return assemble_stiffness(space, _restrict(self.kappa, cell_map))
+    def element_matrices(self, space, cells=None):
+        return stiffness_elements(space, cells, self.kappa)
 
-    def assemble_rhs(self, space, cell_map=None):
+    def assemble_rhs(self, space):
         return assemble_load(space, self.f)
 
 
@@ -132,13 +124,10 @@ class ElasticityForm(Form):
     def make_space(self, mesh: SimplexMesh) -> FunctionSpace:
         return FunctionSpace(mesh, self.degree, mesh.dim)
 
-    def assemble_matrix(self, space, cell_map=None):
-        if space.ncomp != space.mesh.dim:
-            raise FEMError("ElasticityForm requires ncomp == dim")
-        return assemble_elasticity(space, _restrict(self.lam, cell_map),
-                                   _restrict(self.mu, cell_map))
+    def element_matrices(self, space, cells=None):
+        return elasticity_elements(space, cells, self.lam, self.mu)
 
-    def assemble_rhs(self, space, cell_map=None):
+    def assemble_rhs(self, space):
         f = self.f
         if f is None:
             f = np.zeros(space.mesh.dim)
@@ -146,46 +135,22 @@ class ElasticityForm(Form):
         return assemble_load(space, f)
 
 
-def _cell_values(coeff, mesh, name: str, default: float = 1.0) -> np.ndarray:
-    """Per-cell scalar values of *coeff* (centroid samples for callables)."""
-    if coeff is None:
-        return np.full(mesh.num_cells, default)
-    if callable(coeff):
-        return np.asarray(coeff(mesh.cell_centroids()), dtype=np.float64)
-    arr = np.asarray(coeff, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full(mesh.num_cells, float(arr))
-    if arr.shape == (mesh.num_cells,):
-        return arr
-    raise FEMError(f"{name} must be None, scalar, per-cell array or "
-                   f"callable; got shape {arr.shape}")
-
-
-def _cell_vectors(coeff, mesh, name: str) -> np.ndarray:
-    """Per-cell vector values of *coeff*, shape ``(nc, dim)``."""
-    if callable(coeff):
-        return np.asarray(coeff(mesh.cell_centroids()), dtype=np.float64)
-    arr = np.asarray(coeff, dtype=np.float64)
-    if arr.shape == (mesh.dim,):
-        return np.broadcast_to(arr, (mesh.num_cells, mesh.dim)).copy()
-    if arr.shape == (mesh.num_cells, mesh.dim):
-        return arr
-    raise FEMError(f"{name} must be a length-{mesh.dim} vector, per-cell "
-                   f"({mesh.num_cells}, {mesh.dim}) array or callable; "
-                   f"got shape {arr.shape}")
-
-
 def supg_tau(mesh, beta, kappa) -> np.ndarray:
-    """Per-cell SUPG stabilisation parameter.
+    """Per-cell SUPG stabilisation parameter, from β and κ at the cell
+    centroids.
 
     ``τ_c = h_c/(2|β_c|) · (coth(Pe_c) − 1/Pe_c)`` with the cell Péclet
     number ``Pe_c = |β_c| h_c / (2 κ_c)`` — the classical optimal choice
     for linear elements (Brooks & Hughes).  Vanishing advection gives
     ``τ = 0`` (the diffusive limit of the formula).
     """
+    cells = np.arange(mesh.num_cells)
+    centroid = np.full((1, mesh.dim), 1.0 / (mesh.dim + 1))
     h = mesh.cell_diameters()
-    bmag = np.linalg.norm(_cell_vectors(beta, mesh, "beta"), axis=1)
-    kap = _cell_values(kappa, mesh, "kappa")
+    bmag = np.linalg.norm(_vector_coefficient_at_quadrature(
+        beta, mesh, cells, centroid, "beta")[:, 0], axis=1)
+    kap = _coefficient_at_quadrature(kappa, mesh, cells, centroid,
+                                     "kappa")[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         pe = bmag * h / (2.0 * kap)
         # coth(Pe) - 1/Pe, series Pe/3 below the cancellation threshold
@@ -228,42 +193,29 @@ class ConvectionDiffusionForm(Form):
             raise FEMError("ConvectionDiffusionForm requires a velocity "
                            "field beta")
 
-    def _tau(self, mesh, beta, kappa):
-        if self.stabilization != "supg":
-            return None
-        return supg_tau(mesh, beta, kappa)
+    def _symmetric_part(self, space, cells):
+        # diffusion + the SUPG streamline term: symmetric positive
+        # (semi-)definite — the extended pencil of Nataf–Parolin
+        Ke = stiffness_elements(space, cells, self.kappa)
+        if self.stabilization == "supg":
+            tau = supg_tau(space.mesh, self.beta, self.kappa)
+            Ke += streamline_diffusion_elements(space, cells, self.beta, tau)
+        return Ke
 
-    def assemble_matrix(self, space, cell_map=None):
-        if space.ncomp != 1:
-            raise FEMError("ConvectionDiffusionForm requires a scalar space")
-        kappa = _restrict(self.kappa, cell_map)
-        beta = _restrict_vector(self.beta, cell_map)
-        A = assemble_stiffness(space, kappa)
-        A = A + assemble_advection(space, beta)
-        tau = self._tau(space.mesh, beta, kappa)
-        if tau is not None:
-            A = A + assemble_streamline_diffusion(space, beta, tau)
-        return A.tocsr()
+    def element_matrices(self, space, cells=None):
+        Ke = self._symmetric_part(space, cells)
+        Ke += advection_elements(space, cells, self.beta)
+        return Ke
 
-    def assemble_rhs(self, space, cell_map=None):
-        kappa = _restrict(self.kappa, cell_map)
-        beta = _restrict_vector(self.beta, cell_map)
+    def geneo_element_matrices(self, space, cells=None):
+        return self._symmetric_part(space, cells)
+
+    def assemble_rhs(self, space):
         b = assemble_load(space, self.f)
-        tau = self._tau(space.mesh, beta, kappa)
-        if tau is not None:
-            b = b + assemble_streamline_load(space, beta, tau, self.f)
+        if self.stabilization == "supg":
+            tau = supg_tau(space.mesh, self.beta, self.kappa)
+            b = b + assemble_streamline_load(space, self.beta, tau, self.f)
         return b
-
-    def assemble_geneo_matrix(self, space, cell_map=None):
-        # symmetric positive (semi-)definite part: diffusion + the SUPG
-        # streamline term — the extended pencil of Nataf–Parolin
-        kappa = _restrict(self.kappa, cell_map)
-        beta = _restrict_vector(self.beta, cell_map)
-        A = assemble_stiffness(space, kappa)
-        tau = self._tau(space.mesh, beta, kappa)
-        if tau is not None:
-            A = A + assemble_streamline_diffusion(space, beta, tau)
-        return A.tocsr()
 
 
 @dataclass
@@ -290,26 +242,23 @@ class HelmholtzForm(Form):
     symmetric: bool = True
     spd: bool = False
 
-    def _mass_coefficient(self, cell_map):
+    def _mass_coefficient(self):
         scale = 1.0 - self.epsilon
         k = self.k
         if callable(k):
             return lambda x: scale * np.asarray(k(x), dtype=np.float64) ** 2
-        arr = np.asarray(_restrict(k, cell_map), dtype=np.float64)
-        return scale * arr ** 2
+        return scale * np.asarray(k, dtype=np.float64) ** 2
 
-    def assemble_matrix(self, space, cell_map=None):
-        if space.ncomp != 1:
-            raise FEMError("HelmholtzForm requires a scalar space")
-        K = assemble_stiffness(space, _restrict(self.kappa, cell_map))
-        M = assemble_mass(space, self._mass_coefficient(cell_map))
-        return (K - M).tocsr()
+    def element_matrices(self, space, cells=None):
+        Ke = stiffness_elements(space, cells, self.kappa)
+        Ke -= mass_elements(space, cells, self._mass_coefficient())
+        return Ke
 
-    def assemble_rhs(self, space, cell_map=None):
-        return assemble_load(space, self.f)
-
-    def assemble_geneo_matrix(self, space, cell_map=None):
+    def geneo_element_matrices(self, space, cells=None):
         # Δ-GenEO surrogate (Bootland et al.): the definite stiffness
         # part only — the indefinite mass shift is excluded from the
         # pencil so the eigensolve stays SPD
-        return assemble_stiffness(space, _restrict(self.kappa, cell_map))
+        return stiffness_elements(space, cells, self.kappa)
+
+    def assemble_rhs(self, space):
+        return assemble_load(space, self.f)

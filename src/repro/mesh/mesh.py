@@ -86,7 +86,11 @@ class SimplexMesh:
         return float(self.cell_volumes().sum())
 
     def cell_diameters(self) -> np.ndarray:
-        """Longest edge length per cell (the usual FEM mesh size h)."""
+        """Longest edge length per cell (mesh size h); cached, read-only."""
+        return self._cell_diameters
+
+    @cached_property
+    def _cell_diameters(self) -> np.ndarray:
         v = self.vertices[self.cells]  # (nc, dim+1, dim)
         npts = self.dim + 1
         best = np.zeros(self.num_cells)
@@ -94,6 +98,7 @@ class SimplexMesh:
             for b in range(a + 1, npts):
                 d = np.linalg.norm(v[:, a, :] - v[:, b, :], axis=1)
                 np.maximum(best, d, out=best)
+        best.flags.writeable = False
         return best
 
     def h_max(self) -> float:

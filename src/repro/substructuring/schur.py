@@ -41,8 +41,8 @@ import scipy.sparse as sp
 
 from ..common.errors import DecompositionError
 from ..core.abstract import AbstractDeflation
-from ..dd.dofmap import map_vector_dofs
 from ..dd.problem import Problem
+from ..dd.subdomain import assemble_free
 from ..krylov import gmres
 from ..solvers import factorize
 
@@ -100,7 +100,7 @@ class SchurComplementSolver:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         problem = self.problem
-        mesh, form, gspace = problem.mesh, problem.form, problem.space
+        form, gspace = problem.form, problem.space
         N = int(self.part.max()) + 1
         self.N = N
         b_full = problem.rhs()
@@ -110,14 +110,9 @@ class SchurComplementSolver:
         sub_data = []
         for i in range(N):
             cells = np.flatnonzero(self.part == i)
-            smesh, vmap, cmap = mesh.extract_cells(cells)
-            space = form.make_space(smesh)
-            gmap = map_vector_dofs(space, gspace, vmap, cmap)
-            A_loc = form.assemble_matrix(space, cell_map=cmap)
-            reduced = problem.free_lookup[gmap]
-            keep = np.flatnonzero(reduced >= 0)
-            A_loc = A_loc[keep][:, keep].tocsr()
-            dofs = reduced[keep]
+            A_loc, dofs = assemble_free(
+                problem, form.element_matrices(gspace, cells),
+                gspace.cell_dofs[cells])
             owners[dofs] += 1
             sub_data.append((dofs, A_loc))
 

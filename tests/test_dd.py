@@ -253,3 +253,27 @@ class TestProblem:
         m = unit_square(4)
         prob = Problem(m, DiffusionForm(degree=1), dirichlet=[0, 1, 2])
         assert np.array_equal(prob.dirichlet_dofs, [0, 1, 2])
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "convdiff"])
+def test_setup_and_solve_never_form_global_matrix(kind, monkeypatch):
+    """The whole pipeline — setup, load vector, solve — runs on local
+    data: the global matrix (and the scale fallback it feeds) is never
+    assembled."""
+    from repro import SchwarzSolver
+    from repro.fem.forms import ConvectionDiffusionForm, Form
+
+    def forbidden(self, *args):
+        raise AssertionError("global matrix assembled")
+
+    monkeypatch.setattr(Problem, "matrix", forbidden)
+    monkeypatch.setattr(Problem, "_free_matrix", forbidden)
+    monkeypatch.setattr(Form, "assemble_matrix", forbidden)
+    mesh = unit_square(10)
+    kappa = channels_and_inclusions(mesh, seed=1)
+    form = (DiffusionForm(degree=2, kappa=kappa) if kind == "diffusion"
+            else ConvectionDiffusionForm(degree=2, kappa=0.05 * kappa,
+                                         beta=np.array([20.0, 8.0])))
+    solver = SchwarzSolver(mesh, form, num_subdomains=4, nev=4, seed=0)
+    report = solver.solve(solver.problem.rhs(), tol=1e-8)
+    assert report.converged

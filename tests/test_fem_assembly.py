@@ -236,3 +236,63 @@ class TestDirichlet:
         u2 = np.zeros(V.num_dofs)
         u2[free] = spla.spsolve(Aff.tocsc(), bf)
         assert np.allclose(u1, u2, atol=1e-10)
+
+
+class TestBlockedKernels:
+    """Element kernels run in blocks of ``CELL_BLOCK`` cells; the block
+    size must not change a single bit, and the global matrices must stay
+    what one all-cell batch with the unoptimised gradient einsum gave."""
+
+    @staticmethod
+    def _kernels(mesh):
+        from repro.fem import assembly as asm
+        nc = mesh.num_cells
+        kappa = 1.0 + np.arange(nc) % 5
+        beta = np.array([3.0, -1.0])
+        scalar, vector = FunctionSpace(mesh, 3), FunctionSpace(mesh, 2, 2)
+        return {
+            "stiffness": lambda c: asm.stiffness_elements(scalar, c, kappa),
+            "mass": lambda c: asm.mass_elements(vector, c, kappa),
+            "elasticity": lambda c: asm.elasticity_elements(
+                vector, c, kappa, 2.0 * kappa),
+            "advection": lambda c: asm.advection_elements(scalar, c, beta),
+            "streamline": lambda c: asm.streamline_diffusion_elements(
+                scalar, c, beta, 0.1 / kappa),
+        }
+
+    @pytest.mark.parametrize("kernel", ["stiffness", "mass", "elasticity",
+                                        "advection", "streamline"])
+    def test_blocked_equals_single_batch(self, kernel, monkeypatch):
+        from repro.fem import assembly as asm
+        mesh = unit_square(15)                     # 450 cells: 256 + 194
+        assert mesh.num_cells > asm.CELL_BLOCK
+        run = self._kernels(mesh)[kernel]
+        blocked = run(None)
+        subset = np.arange(3, mesh.num_cells, 7)
+        monkeypatch.setattr(asm, "CELL_BLOCK", 10 ** 9)
+        single = run(None)
+        assert np.array_equal(blocked, single)
+        assert np.array_equal(run(subset), single[subset])
+
+    @pytest.mark.parametrize("mesh, degree", [(unit_square(12), 4),
+                                              (unit_cube(3), 2)],
+                             ids=["2d-P4", "3d-P2"])
+    def test_global_matrix_matches_unblocked_formula(self, mesh, degree):
+        import scipy.sparse as sp
+        from repro.fem.assembly import _cell_geometry
+        from repro.fem.quadrature import simplex_quadrature
+        V = FunctionSpace(mesh, degree)
+        kappa = 1.0 + np.arange(mesh.num_cells) % 3
+        qpts, qw = simplex_quadrature(mesh.dim, 2 * (degree - 1))
+        _, Jinv, detJ = _cell_geometry(V)
+        g = np.einsum("ced,qie->cqid", Jinv, V.ref.eval_basis_grads(qpts))
+        scale = kappa[:, None] * (qw[None, :] * detJ[:, None])
+        Ke = np.einsum("cq,cqid,cqjd->cij", scale, g, g, optimize=True)
+        nd = Ke.shape[1]
+        rows = np.repeat(V.cell_dofs, nd, axis=1).ravel()
+        cols = np.tile(V.cell_dofs, (1, nd)).ravel()
+        ref = sp.coo_matrix((Ke.ravel(), (rows, cols)),
+                            shape=(V.num_dofs,) * 2).tocsr()
+        from repro.fem.forms import DiffusionForm
+        A = DiffusionForm(degree=degree, kappa=kappa).assemble_matrix(V)
+        assert spla.norm(A - ref) <= 1e-14 * spla.norm(ref)

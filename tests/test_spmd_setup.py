@@ -7,7 +7,12 @@ import pytest
 from repro.core.spmd_setup import spmd_build_decomposition
 from repro.dd import Decomposition, Problem
 from repro.fem import channels_and_inclusions, layered_elasticity
-from repro.fem.forms import DiffusionForm, ElasticityForm
+from repro.fem.forms import (
+    ConvectionDiffusionForm,
+    DiffusionForm,
+    ElasticityForm,
+    HelmholtzForm,
+)
 from repro.mesh import rectangle, unit_square
 from repro.mpi import Meter, run_spmd
 from repro.partition import partition_mesh
@@ -55,6 +60,39 @@ def test_matches_sequential_elasticity_scaled():
         assert abs(seq.A_dir - loc.A_dir).max() <= \
             1e-10 * abs(seq.A_dir).max()
         assert np.allclose(seq.d, loc.d, atol=1e-12)
+
+
+def _close(A, B, rtol):
+    return abs(A - B).max() <= rtol * abs(A).max()
+
+
+@pytest.mark.parametrize("kind", ["convdiff", "helmholtz"])
+def test_matches_sequential_nonsymmetric_scaled(kind):
+    """Both setups scale by |diag| from one shared step and carry the
+    extended-GenEO surrogate A_geneo.  The Helmholtz wavenumber puts
+    negative entries on the diagonal, where sqrt(diag) would be NaN."""
+    mesh = unit_square(10)
+    kappa = channels_and_inclusions(mesh, seed=4)
+    if kind == "convdiff":
+        form = ConvectionDiffusionForm(degree=2, kappa=0.02 * kappa,
+                                       beta=np.array([60.0, 24.0]))
+    else:
+        form = HelmholtzForm(degree=1, kappa=kappa, k=80.0, epsilon=0.1)
+    prob = Problem(mesh, form, scaling="jacobi")
+    part = partition_mesh(mesh, 4, seed=0)
+    dec = Decomposition(prob, part, delta=1)
+    locals_ = run_spmd(4, spmd_build_decomposition, prob, part, 1)
+    if kind == "helmholtz":
+        assert min(s.A_dir.diagonal().min() for s in dec.subdomains) < 0
+    for seq, loc in zip(dec.subdomains, locals_):
+        assert np.array_equal(seq.dofs, loc.dofs)
+        assert seq.A_geneo is not None and loc.A_geneo is not None
+        for name in ("A_dir", "A_neu", "A_geneo"):
+            a, b = getattr(seq, name), getattr(loc, name)
+            assert np.all(np.isfinite(b.data)), name
+            assert _close(a, b, 1e-12), name
+        assert np.allclose(seq.d, loc.d, atol=1e-13)
+        assert seq.neighbors == loc.neighbors
 
 
 def test_partition_of_unity_from_messages():
