@@ -142,7 +142,8 @@ def _solve_pencil(A: sp.csr_matrix, B: sp.csr_matrix, *, nev: int,
     diag = A.diagonal()
     sigma = shift_rel * float(np.mean(np.abs(diag)) + 1e-300)
     M = (A + sigma * sp.eye(n, format="csr")).tocsr()
-    Mf = factorize(M, "superlu")
+    # A SPSD and σ > 0: M is SPD by construction, so LDLᵀ
+    Mf = factorize(M, "superlu", spd=True)
 
     if method == "lanczos":
         # sparse matrices, not per-vector lambdas: the eigensolver's

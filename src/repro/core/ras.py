@@ -43,7 +43,8 @@ class OneLevelRAS:
         #: per-subdomain factorization seconds — SPMD wall-clock for the
         #: *factorization* phase of figs. 8/10 is the max of these
         self.factorizations, self.factor_times = timed_map(
-            lambda s: self.kernels.factorize_local(s.A_dir, backend),
+            lambda s: self.kernels.factorize_local(s.A_dir, backend,
+                                                   spd=dec.is_spd),
             dec.subdomains, self.parallel,
             recorder=recorder, label="factorize")
         self.applications = 0

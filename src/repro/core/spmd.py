@@ -272,7 +272,8 @@ def assemble_coarse_spmd(comm: Comm, dec: Decomposition,
 
     # ---- algorithm 2 -------------------------------------------------
     rank = SpmdRank(comm=comm, dec=dec, index=i, W=W, layout=layout,
-                    factor=factorize(sub.A_dir, factor_backend))
+                    factor=factorize(sub.A_dir, factor_backend,
+                                     spd=dec.is_spd))
     if layout.is_master:
         mc = layout.master_comm
         # line 15: masters share every rank's ν to build the offsets r_i

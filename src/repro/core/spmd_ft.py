@@ -264,7 +264,8 @@ def _ft_recover(comm: Comm, plan: dict, st: _RankState | None,
         sub = dec.subdomains[comm.rank]
         if blob is not None:
             W = blob["W"]
-            factor = factorize(sub.A_dir, env.factor_backend)
+            factor = factorize(sub.A_dir, env.factor_backend,
+                               spd=dec.is_spd)
             rec["restored_from_ckpt"].append(comm.rank)
         else:
             # no replica: Jacobi-surrogate local solve, basis re-read

@@ -4,10 +4,10 @@ This class owns the hot kernels that used to be inlined across the
 stack — Gram–Schmidt orthogonalisation (vector MGS and blocked CGS2),
 the RAS local-solve scatter/gather, the CSR deflation products, the
 local factorizations and the overlap exchange — and performs **exactly
-the operations the inlined code performed, in the same order**, so the
-``numpy`` backend is bitwise-identical to the pre-registry
-implementation (pinned by the regression tests in
-``tests/test_kernels.py``).
+the operations the inlined code performed, in the same order**
+(pinned by the regression tests in ``tests/test_kernels.py``).  The
+one deliberate departure from the pre-registry arithmetic: local
+matrices declared SPD are factorised as symmetric-mode LDLᵀ, not LU.
 
 Subclasses (:mod:`.fp32`, :mod:`.compiled`) override individual kernels;
 anything not overridden inherits the reference semantics, which is what
@@ -82,10 +82,11 @@ class KernelBackend:
     # Local factorizations and the RAS apply
     # ------------------------------------------------------------------
     def factorize_local(self, A, method: str = "superlu",
-                        shift: float = 0.0):
+                        shift: float = 0.0, spd: bool = False):
         """Factorise one local (or coarse) matrix.  Reference: the
-        existing :func:`repro.solvers.local.factorize` dispatch."""
-        return factorize(A, method, shift=shift)
+        :func:`repro.solvers.local.factorize` dispatch, LDLᵀ when the
+        caller declares the matrix SPD."""
+        return factorize(A, method, shift=shift, spd=spd)
 
     def fuse_ras(self, factorizations, subdomains):
         """Fused per-subdomain apply handles for the serial RAS hot

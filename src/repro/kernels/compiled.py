@@ -52,7 +52,7 @@ class CompiledBackend(KernelBackend):
         self._lib = lib
 
     def factorize_local(self, A, method: str = "superlu",
-                        shift: float = 0.0):
+                        shift: float = 0.0, spd: bool = False):
         if shift:
             A = (sp.csr_matrix(A)
                  + shift * sp.eye(A.shape[0], format="csr"))
@@ -72,7 +72,8 @@ class CompiledBackend(KernelBackend):
             pass
         if self.recorder.enabled:
             self.recorder.add("kernel.compiled_fallbacks", 1)
-        return factorize(A, method)
+        # the reference backend's fp64 factor (A is already shifted)
+        return factorize(A, method, spd=spd)
 
     def fuse_ras(self, factorizations, subdomains):
         handles = []

@@ -4,9 +4,11 @@ The paper's local solves are "factorise once, apply thousands of times".
 The mixed-precision backends exploit two structural facts:
 
 * the local Dirichlet matrices are SPD, so SuperLU's **symmetric mode**
-  (minimum-degree on ``AᵀA + A``, no pivoting) produces an LDLᵀ-shaped
-  factor with ~4–5× fewer nonzeros than the default COLAMD LU — fewer
-  bytes to stream per solve;
+  (:data:`~repro.solvers.local.SYMMETRIC_OPTIONS`: minimum degree on
+  ``Aᵀ + A``, diagonal pivots only) produces an LDLᵀ-shaped factor with
+  1.5–2.4× fewer nonzeros than COLAMD LU (measured on the subdomain
+  matrices of the ``bench-e2e`` workloads) — the factor the reference
+  backend also uses for SPD locals; here it is additionally exported;
 * the factor can be exported to raw CSC arrays once and re-applied by a
   tight compiled loop (:mod:`.csrc`) in fp32 or fp64, fusing the
   permutation into precomputed gather/scatter index arrays.
@@ -28,13 +30,7 @@ import scipy.sparse.linalg as spla
 
 from ..common.errors import SolverError, SymmetryError
 from ..common.validation import matrix_is_symmetric
-from ..solvers.local import Factorization
-
-_SYMMETRIC_OPTIONS = dict(
-    permc_spec="MMD_AT_PLUS_A",
-    diag_pivot_thresh=0.0,
-    options=dict(SymmetricMode=True),
-)
+from ..solvers.local import SYMMETRIC_OPTIONS, Factorization
 
 
 def _ptr(arr: np.ndarray, ctype):
@@ -75,7 +71,7 @@ class SymmetricLDLFactorization(Factorization):
             # factorise in fp64 (stable), cast the factor to the target
             # precision — more accurate than factorising in fp32
             try:
-                lu = spla.splu(A, **_SYMMETRIC_OPTIONS)
+                lu = spla.splu(A, **SYMMETRIC_OPTIONS)
             except RuntimeError as exc:
                 raise SolverError(
                     f"symmetric-mode factorization failed: {exc}") from exc
@@ -100,7 +96,7 @@ class SymmetricLDLFactorization(Factorization):
         else:
             try:
                 self._lu = spla.splu(A.astype(self.dtype),
-                                     **_SYMMETRIC_OPTIONS)
+                                     **SYMMETRIC_OPTIONS)
             except RuntimeError as exc:
                 raise SolverError(
                     f"symmetric-mode factorization failed: {exc}") from exc

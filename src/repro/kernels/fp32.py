@@ -188,7 +188,7 @@ class Fp32Backend(KernelBackend):
     # Local factorizations + fused RAS apply
     # ------------------------------------------------------------------
     def factorize_local(self, A, method: str = "superlu",
-                        shift: float = 0.0):
+                        shift: float = 0.0, spd: bool = False):
         if shift:
             A = (sp.csr_matrix(A)
                  + shift * sp.eye(A.shape[0], format="csr"))
@@ -209,7 +209,8 @@ class Fp32Backend(KernelBackend):
             pass
         if self.recorder.enabled:
             self.recorder.add("kernel.fp32_fallbacks", 1)
-        return factorize(A, method)
+        # the reference backend's fp64 factor (A is already shifted)
+        return factorize(A, method, spd=spd)
 
     def fuse_ras(self, factorizations, subdomains):
         handles = []

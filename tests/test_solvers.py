@@ -8,9 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SolverError
-from repro.fem import FunctionSpace, assemble_load, assemble_stiffness, restrict_to_free
+from repro.core.geneo import DEFAULT_SHIFT_REL
+from repro.dd import Decomposition, Problem
+from repro.fem import (
+    FunctionSpace,
+    assemble_load,
+    assemble_stiffness,
+    channels_and_inclusions,
+    restrict_to_free,
+)
+from repro.fem.forms import ConvectionDiffusionForm, HelmholtzForm
 from repro.mesh import unit_square
 from repro.mpi import run_spmd
+from repro.partition import partition_mesh
 from repro.solvers import (
     BACKENDS,
     DistributedCholesky,
@@ -53,6 +63,62 @@ class TestBackends:
     def test_nnz_factor_positive(self, spd_system, method):
         A, _, _ = spd_system
         assert factorize(A, method).nnz_factor > 0
+
+    @pytest.mark.parametrize("method", BACKENDS)
+    def test_spd_flag_solves(self, spd_system, method):
+        """Every backend accepts the SPD claim; only SuperLU acts on it."""
+        A, b, xref = spd_system
+        x = factorize(A, method, spd=True).solve(b)
+        assert np.linalg.norm(x - xref) <= 1e-10 * np.linalg.norm(xref)
+
+    def test_spd_superlu_is_ldlt(self, spd_system):
+        """Symmetric mode on an SPD FEM matrix: diagonal pivots only,
+        fewer factor nonzeros than the general LU, an exact solve."""
+        A, b, _ = spd_system
+        f = factorize(A, "superlu", spd=True)
+        assert f.symmetric
+        assert np.array_equal(f._lu.perm_r, f._lu.perm_c)
+        assert f.nnz_factor < factorize(A, "superlu").nnz_factor
+        x = f.solve(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("kind", ["helmholtz", "convdiff"])
+    def test_wrong_spd_claim_falls_back_to_lu(self, kind):
+        """A false claim costs the LDLᵀ attempt, never accuracy: the
+        symmetric-indefinite Helmholtz A_dir fails the pivot test, the
+        nonsymmetric (positive-real) convection–diffusion A_dir the
+        symmetry probe; both keep the general LU."""
+        mesh = unit_square(10)
+        kappa = channels_and_inclusions(mesh, seed=4)
+        if kind == "helmholtz":
+            form = HelmholtzForm(degree=1, kappa=kappa, k=80.0, epsilon=0.1)
+        else:
+            form = ConvectionDiffusionForm(degree=2, kappa=0.02 * kappa,
+                                           beta=np.array([60.0, 24.0]))
+        dec = Decomposition(Problem(mesh, form, scaling="jacobi"),
+                            partition_mesh(mesh, 4, seed=0), delta=1)
+        assert not dec.is_spd
+        for s in dec.subdomains:
+            f = factorize(s.A_dir, "superlu", spd=True)
+            assert not f.symmetric
+            assert f.nnz_factor == factorize(s.A_dir, "superlu").nnz_factor
+            b = np.ones(f.n)
+            r = s.A_dir @ f.solve(b) - b
+            assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
+
+    def test_spd_ldlt_accepts_shifted_neumann(self):
+        """The GenEO shift-invert matrix A_neu + σI of a floating
+        (pure-Neumann, singular) stiffness matrix is SPD and keeps
+        its LDLᵀ factor."""
+        V = FunctionSpace(unit_square(8), 2)
+        A = assemble_stiffness(V).tocsr()
+        assert np.abs(A @ np.ones(A.shape[0])).max() < 1e-12
+        sigma = DEFAULT_SHIFT_REL * float(np.mean(np.abs(A.diagonal())))
+        f = factorize(A, "superlu", shift=sigma, spd=True)
+        assert f.symmetric
+        b = np.random.default_rng(0).standard_normal(f.n)
+        r = A @ f.solve(b) + sigma * f.solve(b) - b
+        assert np.linalg.norm(r) <= 1e-6 * np.linalg.norm(b)
 
     def test_unknown_backend(self, spd_system):
         A, _, _ = spd_system

@@ -129,3 +129,37 @@ def test_delta_validation():
     part = partition_mesh(mesh, 2, seed=0)
     with pytest.raises(DecompositionError):
         run_spmd(2, spmd_build_decomposition, prob, part, 0)
+
+
+def test_rank_factors_match_in_process_ras(monkeypatch):
+    """Every SPMD rank factor — set up by ``assemble_coarse_spmd`` or
+    rebuilt from a checkpoint by ``solve_spmd_ft`` after a kill — is
+    the in-process RAS factor of its subdomain: the same LDLᵀ, so the
+    same ``nnz_factor``."""
+    from repro.core import solve_spmd_ft, spmd, spmd_ft
+    from repro.core.ras import OneLevelRAS
+    from repro.resilience import (ChaosConfig, FaultPlan, FaultSpec,
+                                  build_problem)
+
+    dec, space, b = build_problem(ChaosConfig(nranks=6, mesh_n=12, nev=2))
+    ras = OneLevelRAS(dec)
+    assert dec.is_spd and all(f.symmetric for f in ras.factorizations)
+    owner = {id(s.A_dir): s.index for s in dec.subdomains}
+    seen = {spmd: [], spmd_ft: []}
+    for mod, log in seen.items():
+        def spy(A, *args, _real=mod.factorize, _log=log, **kw):
+            f = _real(A, *args, **kw)
+            _log.append((owner[id(A)], f.nnz_factor))
+            return f
+        monkeypatch.setattr(mod, "factorize", spy)
+
+    plan = FaultPlan([FaultSpec("kill", "iteration", rank=3, nth=5)],
+                     seed=7, timeout=2.0)
+    rep = solve_spmd_ft(dec, space, b, num_masters=2, spares=1,
+                        faults=plan, tol=1e-6, restart=30, maxiter=120)
+    assert rep.converged
+    assert rep.recoveries[0]["restored_from_ckpt"] == [3]
+    assert sorted(i for i, _ in seen[spmd]) == list(range(6))
+    assert [i for i, _ in seen[spmd_ft]] == [3]
+    for i, nnz in seen[spmd] + seen[spmd_ft]:
+        assert nnz == ras.factorizations[i].nnz_factor, i
