@@ -38,7 +38,7 @@ class OneLevelRAS:
         self.parallel = resolve_parallel(parallel)
         #: kernel backend owning the local factorizations and the fused
         #: apply path (:mod:`repro.kernels`); the default ``numpy``
-        #: backend reproduces the historical behaviour bitwise
+        #: backend is the fp64 reference (LDLᵀ factors when SPD)
         self.kernels = default_backend() if kernels is None else kernels
         #: per-subdomain factorization seconds — SPMD wall-clock for the
         #: *factorization* phase of figs. 8/10 is the max of these

@@ -7,7 +7,8 @@ behind one :class:`~repro.kernels.base.KernelBackend` interface with
 three built-in implementations:
 
 ``numpy``
-    The reference: bitwise-identical to the historical inlined code.
+    The reference: the historical inlined operations, with SPD local
+    factors as symmetric-mode LDLᵀ.
 ``fp32``
     Mixed precision — fp32 local/coarse applies and orthogonalisation
     scratch inside the fp64 outer Krylov loop, with dtype round-trip

@@ -1,11 +1,10 @@
 """The ``compiled`` kernel backend: fp64 compiled hot loops.
 
 Full double precision everywhere — numerically interchangeable with the
-reference backend up to factorization ordering — but the RAS local
-solves run through the symmetric-mode LDLᵀ factor (4–5× fewer factor
-nonzeros than the default COLAMD LU) applied by the compiled C kernels
-with fused permutation/gather/scatter, and the coarse solve through the
-same compiled path.
+reference backend, whose SPD local factors are the same symmetric-mode
+LDLᵀ — but the RAS local solves apply that factor through the compiled
+C kernels with fused permutation/gather/scatter, and the coarse solve
+runs through the same compiled path.
 
 This backend is only constructible when the kernel library builds (a C
 toolchain on the host); :func:`repro.kernels.get_backend` degrades to

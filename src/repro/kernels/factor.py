@@ -7,8 +7,8 @@ The mixed-precision backends exploit two structural facts:
   (:data:`~repro.solvers.local.SYMMETRIC_OPTIONS`: minimum degree on
   ``Aᵀ + A``, diagonal pivots only) produces an LDLᵀ-shaped factor with
   1.5–2.4× fewer nonzeros than COLAMD LU (measured on the subdomain
-  matrices of the ``bench-e2e`` workloads) — the factor the reference
-  backend also uses for SPD locals; here it is additionally exported;
+  matrices of the ``bench-e2e`` workloads) — the same factor the
+  reference backend keeps for SPD locals;
 * the factor can be exported to raw CSC arrays once and re-applied by a
   tight compiled loop (:mod:`.csrc`) in fp32 or fp64, fusing the
   permutation into precomputed gather/scatter index arrays.
