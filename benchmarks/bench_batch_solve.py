@@ -15,8 +15,9 @@ This benchmark times both paths on the same set-up solver for a 16-RHS
 batch and asserts the ≥ 2× wall-clock speedup; it also runs two
 successive recycled solves (:meth:`SolveSession.solve`) and asserts the
 harvested-Ritz deflation reduces the second solve's iteration count.
-Both numbers land in ``results/BENCH_batch_solve.json`` (the first
-entry of the bench trajectory records looped *and* batched timings).
+Both numbers land in ``benchmarks/results/BENCH_batch_solve.json``
+(the first entry of the bench trajectory records looped *and* batched
+timings).
 
 Run directly (CI smoke mode)::
 

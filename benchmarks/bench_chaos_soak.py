@@ -39,7 +39,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from common import RESULTS, write_result, write_tracked_json  # noqa: E402
+from common import RESULTS, write_result, write_json  # noqa: E402
 from repro.common.asciiplot import table  # noqa: E402
 from repro.core.spmd_ft import solve_spmd_ft  # noqa: E402
 from repro.mpi.meter import Meter  # noqa: E402
@@ -214,7 +214,7 @@ def run(smoke: bool) -> dict:
         "summary": summary,
     }
     write_result("chaos_soak", txt + "\n" + summary)
-    write_tracked_json("BENCH_chaos_soak", payload)
+    write_json("BENCH_chaos_soak", payload)
 
     RESULTS.mkdir(exist_ok=True)
     flight = RESULTS / "chaos_flight.json"

@@ -40,7 +40,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from common import diffusion_2d, write_result, write_tracked_json  # noqa: E402
+from common import diffusion_2d, write_result, write_json  # noqa: E402
 from repro import SchwarzSolver  # noqa: E402
 from repro.common.asciiplot import table  # noqa: E402
 from repro.core.coarse_strategies import MultilevelCoarseSolve  # noqa: E402
@@ -231,7 +231,7 @@ def run(smoke: bool) -> dict:
     }
     write_result("coarse_strategies", txt_measured + "\n\n" + txt_model
                  + "\n\n" + summary)
-    write_tracked_json("BENCH_coarse_strategies", payload)
+    write_json("BENCH_coarse_strategies", payload)
     return payload
 
 

@@ -20,8 +20,8 @@ Run directly::
 The smoke mode (CI) runs a small problem and skips the machine-speed
 assertion, but still fails when the fp32 iteration count exceeds the
 fp64 count by more than :data:`ITER_BUDGET` — the accuracy regression
-guard.  Numbers land in ``benchmarks/results/BENCH_kernel_backends.txt``
-and the tracked ``results/BENCH_kernel_backends.json``.
+guard.  Numbers land in
+``benchmarks/results/BENCH_kernel_backends.{txt,json}``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from common import write_result, write_tracked_json  # noqa: E402
+from common import write_result, write_json  # noqa: E402
 
 from repro import SchwarzSolver  # noqa: E402
 from repro.common.asciiplot import table  # noqa: E402
@@ -181,7 +181,7 @@ def run(smoke: bool) -> dict:
             k: {kk: vv for kk, vv in v.items() if kk != "notes"}
             for k, v in available_backends().items()},
     }
-    write_tracked_json("BENCH_kernel_backends", payload)
+    write_json("BENCH_kernel_backends", payload)
     return payload
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from common import write_result, write_tracked_json  # noqa: E402
+from common import write_result, write_json  # noqa: E402
 from repro import SchwarzSolver  # noqa: E402
 from repro.common.asciiplot import table  # noqa: E402
 from repro.fem import channels_and_inclusions  # noqa: E402
@@ -191,7 +191,7 @@ def run(smoke: bool) -> dict:
         "summary": summary,
     }
     write_result("nonsymmetric", txt + "\n\n" + summary)
-    write_tracked_json("BENCH_nonsymmetric", payload)
+    write_json("BENCH_nonsymmetric", payload)
     return payload
 
 

@@ -25,7 +25,7 @@ Run directly (CI smoke mode)::
 
     PYTHONPATH=src python benchmarks/bench_solve_apply.py --smoke
 
-Numbers land in ``results/BENCH_solve_apply.{txt,json}``.
+Numbers land in ``benchmarks/results/BENCH_solve_apply.{txt,json}``.
 """
 
 from __future__ import annotations

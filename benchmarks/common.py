@@ -8,8 +8,8 @@ representative kernel per experiment.
 Result hygiene: every JSON payload is stamped with a ``provenance``
 block — git SHA, kernel backend + precision, numpy version — so a
 result file is interpretable on its own.  ``benchmarks/results/`` holds
-regenerated (gitignored) artefacts; committed reference numbers go to
-the tracked repo-root ``results/`` via :func:`write_tracked_json`.
+regenerated (gitignored) artefacts; ``bench-e2e`` (``benchmarks/e2e/``)
+is the one performance gate.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from repro.fem.forms import DiffusionForm, ElasticityForm
 from repro.mesh import cantilever_2d, refine_uniform, unit_cube, unit_square
 
 RESULTS = Path(__file__).parent / "results"
-#: committed reference results (repo root, tracked by git)
-TRACKED_RESULTS = Path(__file__).parent.parent / "results"
 
 
 def provenance() -> dict:
@@ -57,50 +55,16 @@ def write_result(name: str, text: str) -> None:
     print(f"\n{text}\n[written to {path}]")
 
 
-def _dump_json(directory: Path, name: str, payload: dict) -> None:
-    directory.mkdir(exist_ok=True)
-    payload = dict(payload)
-    payload.setdefault("provenance", provenance())
-    path = directory / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"[json written to {path}]")
-
-
 def write_json(name: str, payload: dict) -> None:
     """Machine-readable companion to :func:`write_result` — trajectory
-    numbers (speedups, call counts) land in ``results/<name>.json``,
-    stamped with :func:`provenance`."""
-    _dump_json(RESULTS, name, payload)
-
-
-def write_tracked_json(name: str, payload: dict) -> None:
-    """Like :func:`write_json` but to the tracked repo-root
-    ``results/`` — for reference numbers that are committed.
-
-    Before overwriting, the previous committed payload is gated via
-    :func:`gate_against_baseline` so a bench run that regresses its own
-    reference numbers says so loudly at the point of overwrite."""
-    gate_against_baseline(name, payload)
-    _dump_json(TRACKED_RESULTS, name, payload)
-
-
-def gate_against_baseline(name: str, payload: dict) -> bool:
-    """Compare *payload* against the committed ``results/<name>.json``
-    (when present) with the noise-tolerant regression comparator and
-    print the verdict.  Returns True when no regression was flagged —
-    advisory here; the CI ``perf-regression`` job is the hard gate."""
-    baseline_path = TRACKED_RESULTS / f"{name}.json"
-    if not baseline_path.exists():
-        return True
-    try:
-        from repro.obs import compare
-        baseline = json.loads(baseline_path.read_text())
-        report = compare(baseline, payload, name=name)
-    except Exception as exc:  # noqa: BLE001 - gating must never fail a bench
-        print(f"[regression gate skipped: {exc}]")
-        return True
-    print(report.render())
-    return report.passed
+    numbers (speedups, call counts) land in
+    ``benchmarks/results/<name>.json``, stamped with :func:`provenance`."""
+    RESULTS.mkdir(exist_ok=True)
+    payload = dict(payload)
+    payload.setdefault("provenance", provenance())
+    path = RESULTS / f"{name}.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"[json written to {path}]")
 
 
 # ----------------------------------------------------------------------

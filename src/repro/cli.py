@@ -25,10 +25,6 @@ Subcommands
 ``metrics``
     OpenMetrics/Prometheus text exposition (or JSON snapshot) of a
     trace's counters, gauges and span totals (``repro.obs.metrics``).
-``regress``
-    Gate current bench JSONs against tracked baselines with
-    noise-tolerant thresholds (``repro.obs.regress``); ``--selftest``
-    verifies the gate flags an injected 2x slowdown.
 """
 
 from __future__ import annotations
@@ -338,44 +334,6 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_regress(args) -> int:
-    import json
-    from pathlib import Path
-
-    from .obs import Thresholds, compare, compare_dirs, compare_files
-    from .obs.regress import inject_slowdown
-    thresholds = Thresholds(time_ratio=args.time_ratio,
-                            count_ratio=args.count_ratio)
-    if args.selftest:
-        # the gate must flag a synthetic 2x slowdown of its own input —
-        # compare payload-inflated-by-2x against the payload itself
-        payload = json.loads(Path(args.selftest).read_text())
-        report = compare(payload, inject_slowdown(payload, 2.0),
-                         name=f"selftest({Path(args.selftest).name})",
-                         thresholds=thresholds)
-        flagged = bool(report.regressions)
-        print(report.render(verbose=args.verbose))
-        print(f"\nselftest: injected 2x slowdown "
-              f"{'FLAGGED (gate works)' if flagged else 'MISSED'}")
-        if args.report:
-            Path(args.report).write_text(report.to_markdown())
-        return 0 if flagged else 1
-    if args.baseline_dir:
-        report = compare_dirs(args.baseline_dir, args.current_dir,
-                              thresholds=thresholds)
-    elif args.baseline and args.current:
-        report = compare_files(args.baseline, args.current,
-                               thresholds=thresholds)
-    else:
-        raise SystemExit("error: pass --baseline-dir/--current-dir, "
-                         "--baseline/--current, or --selftest")
-    print(report.render(verbose=args.verbose))
-    if args.report:
-        Path(args.report).write_text(report.to_markdown())
-        print(f"\nmarkdown report written to {args.report}")
-    return 0 if report.passed else 1
-
-
 def cmd_chaos(args) -> int:
     import json
     from pathlib import Path
@@ -608,35 +566,6 @@ def make_parser() -> argparse.ArgumentParser:
     pm.add_argument("--check", action="store_true",
                     help="validate the exposition before printing")
     pm.set_defaults(fn=cmd_metrics)
-
-    pg = sub.add_parser("regress", help="gate current bench JSONs "
-                                        "against tracked baselines "
-                                        "(exit 1 on a clear regression)")
-    pg.add_argument("--baseline", default="",
-                    help="one baseline BENCH_*.json")
-    pg.add_argument("--current", default="",
-                    help="the current run's BENCH_*.json")
-    pg.add_argument("--baseline-dir", default="",
-                    help="directory of tracked baselines (e.g. "
-                         "results/)")
-    pg.add_argument("--current-dir", default="benchmarks/results",
-                    help="directory of fresh bench JSONs")
-    pg.add_argument("--time-ratio", type=float, default=1.6,
-                    help="a time metric regresses past baseline x this "
-                         "(noise-tolerant default: 1.6)")
-    pg.add_argument("--count-ratio", type=float, default=1.3,
-                    help="a count metric regresses past baseline x "
-                         "this + 2")
-    pg.add_argument("--report", default="",
-                    help="also write the markdown report to this path")
-    pg.add_argument("--verbose", action="store_true",
-                    help="list every gated metric, not just "
-                         "regressions/improvements")
-    pg.add_argument("--selftest", default="", metavar="BENCH_JSON",
-                    help="verify the gate: inject a synthetic 2x "
-                         "slowdown into this payload and require it to "
-                         "be flagged")
-    pg.set_defaults(fn=cmd_regress)
 
     pc = sub.add_parser("chaos", help="seeded chaos soak campaign over "
                                       "many fault-tolerant SPMD solves "

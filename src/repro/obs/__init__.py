@@ -6,15 +6,12 @@ driver), the parallel setup engine and the simulated MPI layer; the four
 legacy mechanisms (``PhaseTimer``, ``SolveProfiler``, ``Tracer``,
 ``Meter``) are thin adapters over it.  See ``docs/observability.md``.
 
-On top of the capture layer sit three analysis surfaces:
+On top of the capture layer sit two analysis surfaces:
 
 * :mod:`repro.obs.analysis` — critical path, load imbalance, comm
   matrix, convergence forensics (the ``repro report`` subcommand);
 * :mod:`repro.obs.metrics` — OpenMetrics exposition + JSON snapshot
-  (the ``repro metrics`` subcommand / future daemon endpoint);
-* :mod:`repro.obs.regress` — baseline comparison over tracked
-  ``results/BENCH_*.json`` (the ``repro regress`` subcommand and the
-  CI ``perf-regression`` gate).
+  (the ``repro metrics`` subcommand / future daemon endpoint).
 """
 
 from .analysis import (
@@ -52,16 +49,6 @@ from .recorder import (
     column_iterations,
     iteration_residuals,
 )
-from .regress import (
-    MetricCheck,
-    RegressionReport,
-    Thresholds,
-    compare,
-    compare_dirs,
-    compare_files,
-    inject_slowdown,
-)
-
 __all__ = [
     "Recorder",
     "NullRecorder",
@@ -96,12 +83,4 @@ __all__ = [
     "snapshot",
     "to_openmetrics",
     "validate_openmetrics",
-    # regression gating
-    "compare",
-    "compare_files",
-    "compare_dirs",
-    "inject_slowdown",
-    "Thresholds",
-    "RegressionReport",
-    "MetricCheck",
 ]

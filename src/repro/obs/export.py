@@ -11,7 +11,7 @@ Three interchangeable views of one :class:`~repro.obs.Recorder`:
   to diff between runs or feed to ad-hoc scripts.
 * **flat summary dict** (:func:`summary`) — per-span-name totals plus
   the counters/gauges, the shape stored under the ``telemetry`` key of
-  the benchmark ``results/BENCH_*.json`` files.
+  ``benchmarks/results/BENCH_solve_apply.json``.
 
 :func:`write_trace` / :func:`load_trace` round-trip either file format;
 :func:`render_trace` turns a loaded file back into the ASCII Gantt +

@@ -213,6 +213,36 @@ class TestExtendedCoarseSpace:
         assert its["extended"] <= its["geneo"]
         assert 2 * its["extended"] <= its[None]
 
+    # the smoke grid of benchmarks/bench_nonsymmetric.py with the
+    # extended-space gmres iterations recorded there; a cell fails past
+    # 1.3 x recorded + 2 iterations
+    @pytest.mark.parametrize("workload,param,contrast,recorded", [
+        ("convdiff", 2.0, 1e1, 7), ("convdiff", 200.0, 1e1, 8),
+        ("convdiff", 2.0, 1e3, 7), ("convdiff", 200.0, 1e3, 8),
+        ("helmholtz", 5.0, 1e1, 8), ("helmholtz", 15.0, 1e1, 11),
+        ("helmholtz", 5.0, 1e3, 7), ("helmholtz", 15.0, 1e3, 7),
+    ])
+    def test_extended_iterations_on_bench_grid(self, workload, param,
+                                               contrast, recorded):
+        n, beta = 32, np.array([1.0, 0.4])
+        mesh = unit_square(n)
+        if workload == "convdiff":
+            # Pe = |beta| h / (2 kappa_bg)
+            kbg = np.linalg.norm(beta) / n / (2.0 * param)
+            kappa = channels_and_inclusions(
+                mesh, kappa_min=kbg, kappa_max=kbg * contrast, seed=3)
+            form = ConvectionDiffusionForm(degree=1, kappa=kappa, beta=beta)
+        else:
+            kappa = channels_and_inclusions(
+                mesh, kappa_min=1.0, kappa_max=contrast, seed=3)
+            form = HelmholtzForm(degree=1, kappa=kappa, k=param,
+                                 epsilon=0.3)
+        s = SchwarzSolver(mesh, form, num_subdomains=24, nev=6,
+                          krylov="gmres", coarse_space="extended", seed=0)
+        report = s.solve(tol=1e-7, maxiter=400)
+        assert report.converged
+        assert report.iterations <= 1.3 * recorded + 2, report.iterations
+
 
 # ----------------------------------------------------------------------
 # Kernel backends on nonsymmetric operators

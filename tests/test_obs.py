@@ -427,16 +427,6 @@ class TestCLI:
         out = capsys.readouterr().out
         assert out.rstrip().endswith("# EOF")
 
-    def test_regress_selftest(self, tmp_path, capsys):
-        import json as _json
-        from repro.cli import main
-        bench = tmp_path / "BENCH_unit.json"
-        bench.write_text(_json.dumps({
-            "problem": {"n": 16, "smoke": True},
-            "apply_ms": 10.0, "iterations": 12}))
-        assert main(["regress", "--selftest", str(bench)]) == 0
-        assert "FLAGGED" in capsys.readouterr().out
-
 
 class TestTraceFidelity:
     """Counters/gauges/events survive both formats bit-for-bit."""
