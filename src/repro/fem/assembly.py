@@ -73,6 +73,7 @@ def _coefficient_at_quadrature(coeff, mesh, cells: np.ndarray,
 
     Accepts: None (=> 1), a scalar, a per-cell array over the whole
     mesh, or a callable mapping ``(n, dim)`` physical points to values.
+    Raises :class:`FEMError` on any other shape and on NaN or inf values.
     """
     nc, nq = cells.size, qpts.shape[0]
     if coeff is None:
@@ -83,15 +84,20 @@ def _coefficient_at_quadrature(coeff, mesh, cells: np.ndarray,
         if vals.shape != (nc * nq,):
             raise FEMError(f"{name} callable returned shape {vals.shape}, "
                            f"expected ({nc * nq},)")
-        return vals.reshape(nc, nq)
-    arr = np.asarray(coeff, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full((nc, nq), float(arr))
-    if arr.shape == (mesh.num_cells,):
-        return np.repeat(arr[cells, None], nq, axis=1)
-    raise FEMError(f"{name} must be None, scalar, per-cell array of length "
-                   f"{mesh.num_cells}, or callable; got array of shape "
-                   f"{arr.shape}")
+        vals = vals.reshape(nc, nq)
+    else:
+        arr = np.asarray(coeff, dtype=np.float64)
+        if arr.ndim == 0:
+            vals = np.full((nc, nq), float(arr))
+        elif arr.shape == (mesh.num_cells,):
+            vals = np.repeat(arr[cells, None], nq, axis=1)
+        else:
+            raise FEMError(f"{name} must be None, scalar, per-cell array of "
+                           f"length {mesh.num_cells}, or callable; got array "
+                           f"of shape {arr.shape}")
+    if not np.isfinite(vals).all():
+        raise FEMError(f"{name} has non-finite (NaN or inf) values")
+    return vals
 
 
 def _vector_coefficient_at_quadrature(coeff, mesh, cells: np.ndarray,

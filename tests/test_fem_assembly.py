@@ -105,6 +105,16 @@ class TestStiffness:
         with pytest.raises(FEMError):
             assemble_stiffness(V, np.ones(7))
 
+    @pytest.mark.parametrize("kappa", [
+        np.where(np.arange(8) == 3, np.nan, 1.0),
+        np.inf,
+        lambda x: np.full(len(x), np.nan),
+    ], ids=["nan-per-cell", "inf-scalar", "nan-callable"])
+    def test_rejects_nonfinite_coefficient(self, kappa):
+        V = FunctionSpace(unit_square(2), 1)
+        with pytest.raises(FEMError, match="kappa has non-finite"):
+            assemble_stiffness(V, kappa)
+
 
 class TestMass:
     def test_total_mass_is_volume(self):
