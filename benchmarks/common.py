@@ -29,8 +29,8 @@ RESULTS = Path(__file__).parent / "results"
 
 def provenance() -> dict:
     """Provenance stamp for result JSONs: git SHA, the active kernel
-    backend (``$REPRO_KERNEL_BACKEND`` resolution) and its precision,
-    and the numpy version."""
+    backend (the unset-name resolution of ``get_backend``) and its
+    precision, and the numpy version."""
     try:
         sha = subprocess.run(
             ["git", "rev-parse", "HEAD"],

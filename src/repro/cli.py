@@ -259,9 +259,9 @@ def _solve_batched(args, solver, recorder) -> int:
 
 
 def cmd_backends(args) -> int:
-    from .kernels import ENV_VAR, available_backends
+    from .kernels import ENV_VAR, available_backends, get_backend
     import os
-    selected = os.environ.get(ENV_VAR) or "numpy"
+    selected = get_backend(None).name
     rows = []
     for name, cap in available_backends().items():
         rows.append([name,
@@ -273,7 +273,8 @@ def cmd_backends(args) -> int:
     print(table(["backend", "available", "precision", "compiled", "notes"],
                 rows, title="repro kernel backends"))
     print(f"\nselection: --backend flag > ${ENV_VAR} "
-          f"(currently {os.environ.get(ENV_VAR) or 'unset'}) > numpy")
+          f"(currently {os.environ.get(ENV_VAR) or 'unset'}) > compiled "
+          f"if its C library builds > numpy; resolved: {selected}")
     from .core.coarse_strategies import (
         ENV_VAR as STRAT_ENV,
         get_strategy,
@@ -496,7 +497,8 @@ def make_parser() -> argparse.ArgumentParser:
     ps.add_argument("--backend", default="",
                     help="kernel backend for the solve-phase hot loops "
                          "(numpy, fp32, compiled; empty = "
-                         "$REPRO_KERNEL_BACKEND or numpy — see "
+                         "$REPRO_KERNEL_BACKEND, else compiled if its "
+                         "C library builds, else numpy — see "
                          "`repro backends` and docs/performance.md)")
     ps.add_argument("--coarse-strategy", default="",
                     help="how the coarse problem is solved (dense, "

@@ -131,14 +131,10 @@ class OneLevelRAS:
         if (self._fused is not None and self.injector is None
                 and not self.disabled
                 and self.parallel.backend == "serial"):
+            R = np.ascontiguousarray(R)
             out = np.zeros((self.dec.problem.num_free, R.shape[1]))
-            col = np.empty(self.dec.problem.num_free)
-            for c in range(R.shape[1]):
-                buf = np.ascontiguousarray(R[:, c])
-                col[:] = 0.0
-                for h in self._fused:
-                    h.apply_weighted(buf, col)
-                out[:, c] = col
+            for h in self._fused:
+                h.apply_weighted_block(R, out)
             self.kernels.note_ras_apply(self._nlocal, columns=R.shape[1])
             return out
 

@@ -157,10 +157,11 @@ class SchwarzSolver:
     kernel_backend:
         Kernel backend name (``"numpy"``, ``"fp32"``, ``"compiled"``) or
         a ready :class:`~repro.kernels.KernelBackend` instance.  ``None``
-        resolves ``REPRO_KERNEL_BACKEND`` and falls back to the bitwise
-        reference ``numpy`` backend.  Owns the hot kernels of the solve
-        phase: local/coarse triangular solves, the fused RAS apply, the
-        CSR deflation products and the Krylov orthogonalisation — see
+        resolves ``REPRO_KERNEL_BACKEND``, then ``"compiled"`` when its
+        C kernel library builds, else the reference ``numpy`` backend.
+        Owns the hot kernels of the solve phase: local/coarse
+        triangular solves, the fused RAS apply, the CSR deflation
+        products and the Krylov orthogonalisation — see
         ``docs/performance.md``.  (This is distinct from *backend* /
         *coarse_backend*, which pick the sparse factorization method.)
     coarse_strategy:

@@ -15,11 +15,14 @@ three built-in implementations:
     accounting through ``repro.obs`` counters.
 ``compiled``
     fp64 with compiled (ctypes/C) LDLᵀ solves and fused RAS
-    gather/scatter; degrades to ``numpy`` when no C toolchain exists.
+    gather/scatter.  The default wherever its C library builds; without
+    a C toolchain the default is ``numpy``.
 
 Select per solver (``SchwarzSolver(kernel_backend="fp32")``), per
 process (``REPRO_KERNEL_BACKEND=fp32``) or per CLI run
-(``repro solve --backend fp32``).  See ``docs/performance.md``.
+(``repro solve --backend fp32``).  Standalone components given no
+backend use :func:`default_backend`, the ``numpy`` reference.  See
+``docs/performance.md``.
 """
 
 from .base import KernelBackend

@@ -7,9 +7,11 @@ C kernels with fused permutation/gather/scatter, and the coarse solve
 runs through the same compiled path.
 
 This backend is only constructible when the kernel library builds (a C
-toolchain on the host); :func:`repro.kernels.get_backend` degrades to
-``numpy`` with a logged warning otherwise — the graceful-fallback
-pattern of optional native bridges.
+toolchain on the host).  It is then the default of
+:func:`repro.kernels.get_backend`; otherwise the default is silently
+``numpy``, and an explicit request for ``compiled`` degrades to
+``numpy`` with a warning — the graceful-fallback pattern of optional
+native bridges.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..common.errors import SolverError
-from ..common.validation import matrix_is_symmetric
+from ..common.errors import SolverError, SymmetryError
 from ..solvers.local import factorize
 from .base import KernelBackend
 from .csrc import load_library
@@ -52,22 +53,21 @@ class CompiledBackend(KernelBackend):
 
     def factorize_local(self, A, method: str = "superlu",
                         shift: float = 0.0, spd: bool = False):
+        if not spd:
+            # symmetric no-pivot mode is only for matrices the caller
+            # declares SPD (the reference's rule): general-mode LU
+            if self.recorder.enabled:
+                self.recorder.add("kernel.compiled_nonsymmetric_locals", 1)
+            return factorize(A, method, shift=shift)
         if shift:
             A = (sp.csr_matrix(A)
                  + shift * sp.eye(A.shape[0], format="csr"))
-        if not matrix_is_symmetric(A):
-            # explicit asymmetry gate (see Fp32Backend.factorize_local):
-            # symmetric no-pivot mode is structurally wrong for
-            # nonsymmetric matrices; use general-mode LU instead
-            if self.recorder.enabled:
-                self.recorder.add("kernel.compiled_nonsymmetric_locals", 1)
-            return factorize(A, method)
         try:
             fact = SymmetricLDLFactorization(A, dtype=np.float64,
                                              lib=self._lib)
             if probe_factorization(fact, A, LOCAL_PROBE_TOL):
                 return fact
-        except SolverError:
+        except (SolverError, SymmetryError):
             pass
         if self.recorder.enabled:
             self.recorder.add("kernel.compiled_fallbacks", 1)

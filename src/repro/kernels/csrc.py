@@ -99,6 +99,56 @@ void scatter_add_f64(double *out, const int64_t *idx, const double *d,
     int32_t k;
     for (k = 0; k < n; ++k) out[idx[k]] += d[k] * z[k];
 }
+
+/* Block variants over m right-hand sides stored row-major (the m values
+   of one row contiguous): one sweep over L serves every column, and
+   each column sees exactly the operations of the vector kernels. */
+#define BLOCK_KERNELS(SFX, T)                                             \
+void ldl_solve_block_##SFX(const int32_t *indptr, const int32_t *rowind, \
+                           const T *lval, const T *dinv,                 \
+                           T *x, int32_t n, int32_t m) {                 \
+    int32_t j, p, c;                                                     \
+    for (j = 0; j < n; ++j) {                                            \
+        const int32_t p0 = indptr[j], p1 = indptr[j + 1];               \
+        T *xj = x + (int64_t) j * m;                                     \
+        for (c = 0; c < m; ++c) xj[c] = xj[c] / lval[p0];                \
+        for (p = p0 + 1; p < p1; ++p) {                                  \
+            T *xi = x + (int64_t) rowind[p] * m;                         \
+            const T l = lval[p];                                         \
+            for (c = 0; c < m; ++c) xi[c] -= l * xj[c];                  \
+        }                                                                \
+    }                                                                    \
+    for (j = 0; j < n; ++j)                                              \
+        for (c = 0; c < m; ++c) x[(int64_t) j * m + c] *= dinv[j];       \
+    for (j = n - 1; j >= 0; --j) {                                       \
+        const int32_t p0 = indptr[j], p1 = indptr[j + 1];               \
+        T *xj = x + (int64_t) j * m;                                     \
+        for (p = p0 + 1; p < p1; ++p) {                                  \
+            const T *xi = x + (int64_t) rowind[p] * m;                   \
+            const T l = lval[p];                                         \
+            for (c = 0; c < m; ++c) xj[c] -= l * xi[c];                  \
+        }                                                                \
+        for (c = 0; c < m; ++c) xj[c] = xj[c] / lval[p0];                \
+    }                                                                    \
+}                                                                        \
+void gather_block_##SFX(const double *src, const int64_t *idx,          \
+                        T *dst, int32_t n, int32_t m) {                  \
+    int32_t k, c;                                                        \
+    for (k = 0; k < n; ++k)                                              \
+        for (c = 0; c < m; ++c)                                          \
+            dst[(int64_t) k * m + c] = (T) src[idx[k] * m + c];          \
+}                                                                        \
+void scatter_add_block_##SFX(double *out, const int64_t *idx,           \
+                             const double *d, const T *z,                \
+                             int32_t n, int32_t m) {                     \
+    int32_t k, c;                                                        \
+    for (k = 0; k < n; ++k)                                              \
+        for (c = 0; c < m; ++c)                                          \
+            out[idx[k] * m + c] += d[k] * (double) z[(int64_t) k * m + c]; \
+}
+
+BLOCK_KERNELS(f32, float)
+BLOCK_KERNELS(f64, double)
 """
 
 _CFLAGS = ["-O3", "-fPIC", "-shared"]
@@ -142,8 +192,18 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.gather_f64.argtypes = [p(f64), p(i64), p(f64), i32]
     lib.scatter_add_f32.argtypes = [p(f64), p(i64), p(f64), p(f32), i32]
     lib.scatter_add_f64.argtypes = [p(f64), p(i64), p(f64), p(f64), i32]
+    for sfx, val in (("f32", f32), ("f64", f64)):
+        getattr(lib, f"ldl_solve_block_{sfx}").argtypes = [
+            p(i32), p(i32), p(val), p(val), p(val), i32, i32]
+        getattr(lib, f"gather_block_{sfx}").argtypes = [
+            p(f64), p(i64), p(val), i32, i32]
+        getattr(lib, f"scatter_add_block_{sfx}").argtypes = [
+            p(f64), p(i64), p(f64), p(val), i32, i32]
     for fn in (lib.ldl_solve_f32, lib.ldl_solve_f64, lib.gather_cast_f32,
-               lib.gather_f64, lib.scatter_add_f32, lib.scatter_add_f64):
+               lib.gather_f64, lib.scatter_add_f32, lib.scatter_add_f64,
+               lib.ldl_solve_block_f32, lib.ldl_solve_block_f64,
+               lib.gather_block_f32, lib.gather_block_f64,
+               lib.scatter_add_block_f32, lib.scatter_add_block_f64):
         fn.restype = None
     return lib
 

@@ -75,8 +75,13 @@ class SymmetricLDLFactorization(Factorization):
             except RuntimeError as exc:
                 raise SolverError(
                     f"symmetric-mode factorization failed: {exc}") from exc
-            L = lu.L.tocsc()
-            L.sort_indices()
+            L = lu.L
+            # the kernels need the diagonal first in every column, which
+            # is how SuperLU emits L; a full sort would cost a fifth of
+            # the factorization
+            if not np.array_equal(L.indices[L.indptr[:-1]],
+                                  np.arange(self.n)):
+                L.sort_indices()
             self.piv = np.argsort(lu.perm_r).astype(np.int64)
             self.indptr = np.ascontiguousarray(L.indptr, dtype=np.int32)
             self.rowind = np.ascontiguousarray(L.indices, dtype=np.int32)
@@ -84,15 +89,15 @@ class SymmetricLDLFactorization(Factorization):
             self.dinv = np.ascontiguousarray(1.0 / lu.U.diagonal(),
                                              dtype=self.dtype)
             self.nnz_factor = int(L.nnz) + self.n
-            self._solve_fn = (lib.ldl_solve_f32
-                              if self.dtype == np.float32
-                              else lib.ldl_solve_f64)
-            value_ct = ct.c_float if self.dtype == np.float32 \
+            sfx = "f32" if self.dtype == np.float32 else "f64"
+            self._solve_fn = getattr(lib, f"ldl_solve_{sfx}")
+            self._solve_block_fn = getattr(lib, f"ldl_solve_block_{sfx}")
+            self.value_ct = ct.c_float if self.dtype == np.float32 \
                 else ct.c_double
             self._args = (_ptr(self.indptr, ct.c_int32),
                           _ptr(self.rowind, ct.c_int32),
-                          _ptr(self.lval, value_ct),
-                          _ptr(self.dinv, value_ct))
+                          _ptr(self.lval, self.value_ct),
+                          _ptr(self.dinv, self.value_ct))
         else:
             try:
                 self._lu = spla.splu(A.astype(self.dtype),
@@ -107,10 +112,15 @@ class SymmetricLDLFactorization(Factorization):
         """In-place LDLᵀ solve of the already-permuted workspace *z*
         (``z = b[piv]`` on entry, ``x[piv]`` on exit).  Compiled path
         only."""
-        self._solve_fn(*self._args, _ptr(z, ct.c_float
-                                         if self.dtype == np.float32
-                                         else ct.c_double),
+        self._solve_fn(*self._args, _ptr(z, self.value_ct),
                        ct.c_int32(self.n))
+
+    def solve_block_permuted_inplace(self, Z: np.ndarray) -> None:
+        """:meth:`solve_permuted_inplace` for a C-contiguous ``(n, m)``
+        block: one sweep over L for all *m* columns, each column
+        bitwise equal to its vector solve."""
+        self._solve_block_fn(*self._args, _ptr(Z, self.value_ct),
+                             ct.c_int32(self.n), ct.c_int32(Z.shape[1]))
 
     # -- public fp64 contract ------------------------------------------
     def solve(self, b):
@@ -118,17 +128,13 @@ class SymmetricLDLFactorization(Factorization):
         if self._lib is None:
             out = self._lu.solve(np.ascontiguousarray(b, dtype=self.dtype))
             return np.asarray(out, dtype=np.float64)
+        z = np.ascontiguousarray(b[self.piv], dtype=self.dtype)
         if b.ndim == 1:
-            z = np.ascontiguousarray(b[self.piv], dtype=self.dtype)
             self.solve_permuted_inplace(z)
-            out = np.empty(self.n)
-            out[self.piv] = z
-            return out
-        out = np.empty((self.n, b.shape[1]))
-        for c in range(b.shape[1]):
-            z = np.ascontiguousarray(b[self.piv, c], dtype=self.dtype)
-            self.solve_permuted_inplace(z)
-            out[self.piv, c] = z
+        else:
+            self.solve_block_permuted_inplace(z)
+        out = np.empty(b.shape)
+        out[self.piv] = z
         return out
 
 
@@ -177,11 +183,14 @@ class FusedLocalApply:
         if fact.dtype == np.float32:
             self._gather, self._scatter = lib.gather_cast_f32, \
                 lib.scatter_add_f32
-            self._z_ptr = _ptr(self._z, ct.c_float)
+            sfx = "f32"
         else:
             self._gather, self._scatter = lib.gather_f64, \
                 lib.scatter_add_f64
-            self._z_ptr = _ptr(self._z, ct.c_double)
+            sfx = "f64"
+        self._gather_block = getattr(lib, f"gather_block_{sfx}")
+        self._scatter_block = getattr(lib, f"scatter_add_block_{sfx}")
+        self._z_ptr = _ptr(self._z, fact.value_ct)
         self._idx_ptr = _ptr(self.dofs_piv, ct.c_int64)
         self._d_ptr = _ptr(self.d_piv, ct.c_double)
         self._n_ct = ct.c_int32(self.n)
@@ -193,6 +202,18 @@ class FusedLocalApply:
         self.fact.solve_permuted_inplace(self._z)
         self._scatter(_ptr(out, ct.c_double), self._idx_ptr, self._d_ptr,
                       self._z_ptr, self._n_ct)
+
+    def apply_weighted_block(self, R: np.ndarray, out: np.ndarray) -> None:
+        """:meth:`apply_weighted` for C-contiguous ``(N, m)`` fp64
+        blocks; each column bitwise equal to its vector apply."""
+        m = ct.c_int32(R.shape[1])
+        Z = np.empty((self.n, R.shape[1]), dtype=self.fact.dtype)
+        z_ptr = _ptr(Z, self.fact.value_ct)
+        self._gather_block(_ptr(R, ct.c_double), self._idx_ptr, z_ptr,
+                           self._n_ct, m)
+        self.fact.solve_block_permuted_inplace(Z)
+        self._scatter_block(_ptr(out, ct.c_double), self._idx_ptr,
+                            self._d_ptr, z_ptr, self._n_ct, m)
 
 
 class PlainLocalApply:
@@ -208,3 +229,6 @@ class PlainLocalApply:
 
     def apply_weighted(self, r: np.ndarray, out: np.ndarray) -> None:
         out[self.dofs] += self.d * self.fact.solve(r[self.dofs])
+
+    def apply_weighted_block(self, R: np.ndarray, out: np.ndarray) -> None:
+        out[self.dofs] += self.d[:, None] * self.fact.solve(R[self.dofs])

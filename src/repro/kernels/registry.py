@@ -5,14 +5,16 @@ Selection order for :func:`get_backend`:
 1. an explicit *name* argument (``SchwarzSolver(kernel_backend=...)``,
    CLI ``--backend``),
 2. the ``REPRO_KERNEL_BACKEND`` environment variable,
-3. the reference ``"numpy"`` backend.
+3. ``"compiled"`` when its C kernel library builds, else the reference
+   ``"numpy"`` backend (silently; the fallback is recorded in the
+   backend's ``notes``).
 
 A backend whose capability probe fails (e.g. ``compiled`` without a C
-toolchain) raises :class:`BackendUnavailable` from its factory;
-:func:`get_backend` logs a warning and degrades to ``numpy`` instead of
-failing the run.  Third parties extend the registry with
-:func:`register` — the factory contract is ``factory(recorder) ->
-KernelBackend``.
+toolchain) raises :class:`BackendUnavailable` from its factory; when
+that backend was named by step 1 or 2, :func:`get_backend` warns and
+degrades to ``numpy`` instead of failing the run.  Third parties
+extend the registry with :func:`register` — the factory contract is
+``factory(recorder) -> KernelBackend``.
 """
 
 from __future__ import annotations
@@ -56,13 +58,21 @@ def backend_names() -> list[str]:
 
 def get_backend(name: str | None = None, recorder=None) -> KernelBackend:
     """Resolve a kernel backend by name (argument → ``$REPRO_KERNEL_
-    BACKEND`` → ``"numpy"``), degrading to ``numpy`` with a warning when
-    the requested backend's capability probe fails.  An already-built
-    :class:`~repro.kernels.base.KernelBackend` instance passes through
-    unchanged."""
+    BACKEND`` → ``"compiled"`` if it builds, else ``"numpy"``).  A
+    requested backend whose capability probe fails degrades to
+    ``numpy`` with a warning; the implicit default degrades without
+    one.  An already-built :class:`~repro.kernels.base.KernelBackend`
+    instance passes through unchanged."""
     if isinstance(name, KernelBackend):
         return name
-    resolved = name or os.environ.get(ENV_VAR) or "numpy"
+    resolved = name or os.environ.get(ENV_VAR)
+    if not resolved:
+        try:
+            return _FACTORIES["compiled"](recorder)
+        except BackendUnavailable as exc:
+            backend = _FACTORIES["numpy"](recorder)
+            backend.notes.append(f"default 'compiled' unavailable: {exc}")
+            return backend
     if resolved not in _FACTORIES:
         raise ReproError(
             f"unknown kernel backend {resolved!r}; "

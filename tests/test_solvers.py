@@ -87,7 +87,14 @@ class TestBackends:
         """A false claim costs the LDLᵀ attempt, never accuracy: the
         symmetric-indefinite Helmholtz A_dir fails the pivot test, the
         nonsymmetric (positive-real) convection–diffusion A_dir the
-        symmetry probe; both keep the general LU."""
+        symmetry probe; both keep the general LU.  The ``compiled``
+        kernel backend honours the decomposition's own ``spd=`` verdict
+        the same way: no unpivoted LDLᵀ of an indefinite local."""
+        from repro.kernels import get_backend
+        from repro.kernels.csrc import load_library
+        from repro.kernels.factor import SymmetricLDLFactorization
+        compiled = (get_backend("compiled") if load_library() is not None
+                    else None)
         mesh = unit_square(10)
         kappa = channels_and_inclusions(mesh, seed=4)
         if kind == "helmholtz":
@@ -103,6 +110,12 @@ class TestBackends:
             assert not f.symmetric
             assert f.nnz_factor == factorize(s.A_dir, "superlu").nnz_factor
             b = np.ones(f.n)
+            r = s.A_dir @ f.solve(b) - b
+            assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
+            if compiled is None:
+                continue
+            f = compiled.factorize_local(s.A_dir, spd=dec.is_spd)
+            assert not isinstance(f, SymmetricLDLFactorization)
             r = s.A_dir @ f.solve(b) - b
             assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
 
