@@ -1,10 +1,12 @@
 """The ``compiled`` kernel backend: fp64 compiled hot loops.
 
 Full double precision everywhere — numerically interchangeable with the
-reference backend, whose SPD local factors are the same symmetric-mode
-LDLᵀ — but the RAS local solves apply that factor through the compiled
-C kernels with fused permutation/gather/scatter, and the coarse solve
-runs through the same compiled path.
+reference backend, whose local factors are the same SuperLU factors
+(symmetric-mode LDLᵀ for SPD locals, an LU ordered on ``Aᵀ + A`` for
+the others) — but each local factor is exported once to raw CSC arrays
+and the SuperLU object dropped, the RAS local solves apply it through
+the compiled C kernels with fused permutation/gather/scatter, and the
+coarse solve of an SPD E runs through the same compiled path.
 
 This backend is only constructible when the kernel library builds (a C
 toolchain on the host).  It is then the default of
@@ -24,6 +26,7 @@ from ..solvers.local import factorize
 from .base import KernelBackend
 from .csrc import load_library
 from .factor import (
+    ExportedLUFactorization,
     FusedLocalApply,
     PlainLocalApply,
     SymmetricLDLFactorization,
@@ -31,13 +34,14 @@ from .factor import (
 )
 from .fp32 import make_ldl_coarse_solve
 
-#: fp64 LDLᵀ of an SPD matrix should be near machine precision; a loose
-#: miss means symmetric no-pivot mode was the wrong tool for this matrix
+#: an fp64 LDLᵀ of an SPD matrix or a pivoted LU should be near machine
+#: precision; a loose miss means the exported factor is not to be trusted
+#: (symmetric no-pivot mode was the wrong tool, or the export is broken)
 LOCAL_PROBE_TOL = 1e-8
 
 
 class CompiledBackend(KernelBackend):
-    """fp64 backend with compiled LDLᵀ solves and fused RAS apply."""
+    """fp64 backend with compiled LDLᵀ/LU solves and fused RAS apply."""
 
     name = "compiled"
     precision = "fp64"
@@ -55,16 +59,19 @@ class CompiledBackend(KernelBackend):
                         shift: float = 0.0, spd: bool = False):
         if not spd:
             # symmetric no-pivot mode is only for matrices the caller
-            # declares SPD (the reference's rule): general-mode LU
+            # declares SPD (the reference's rule): the general-mode LU,
+            # exported like the LDLᵀ when SuperLU is the method
             if self.recorder.enabled:
                 self.recorder.add("kernel.compiled_nonsymmetric_locals", 1)
-            return factorize(A, method, shift=shift)
+            if method != "superlu":
+                return factorize(A, method, shift=shift)
         if shift:
             A = (sp.csr_matrix(A)
                  + shift * sp.eye(A.shape[0], format="csr"))
         try:
-            fact = SymmetricLDLFactorization(A, dtype=np.float64,
-                                             lib=self._lib)
+            fact = (SymmetricLDLFactorization(A, dtype=np.float64,
+                                              lib=self._lib) if spd
+                    else ExportedLUFactorization(A, lib=self._lib))
             if probe_factorization(fact, A, LOCAL_PROBE_TOL):
                 return fact
         except (SolverError, SymmetryError):
@@ -77,7 +84,8 @@ class CompiledBackend(KernelBackend):
     def fuse_ras(self, factorizations, subdomains):
         handles = []
         for fact, s in zip(factorizations, subdomains):
-            if isinstance(fact, SymmetricLDLFactorization) \
+            if isinstance(fact, (SymmetricLDLFactorization,
+                                 ExportedLUFactorization)) \
                     and fact._lib is not None:
                 handles.append(FusedLocalApply(fact, s.dofs, s.d))
             else:

@@ -1,7 +1,7 @@
 """Build-time detection and loading of the compiled kernel library.
 
 The compiled kernels are a single small C translation unit (triangular
-LDLᵀ solves over CSC factors plus fused gather/scatter) compiled with
+LDLᵀ and LU solves over CSC factors plus fused gather/scatter) compiled with
 the system C compiler at first use and loaded through :mod:`ctypes` —
 no Cython, cffi or build-system dependency, mirroring the graceful
 shell-out-with-fallback pattern of external native bridges.  When no
@@ -70,6 +70,56 @@ void ldl_solve_f64(const int32_t *indptr, const int32_t *rowind,
         for (p = p0 + 1; p < p1; ++p)
             acc -= lval[p] * x[rowind[p]];
         x[j] = acc / lval[p0];
+    }
+}
+
+/* LU solve over the CSC factors of a general-mode SuperLU LU, as scipy
+   emits them: L unit lower triangular with its diagonal first in every
+   column, U upper triangular with its diagonal last.  x <- U^-1 L^-1 x,
+   in place; both sweeps run down the columns in storage order. */
+
+void lu_solve_f64(const int32_t *lp, const int32_t *li, const double *lx,
+                  const int32_t *up, const int32_t *ui, const double *ux,
+                  double *x, int32_t n) {
+    int32_t j, p;
+    for (j = 0; j < n; ++j) {
+        const double xj = x[j];
+        for (p = lp[j] + 1; p < lp[j + 1]; ++p)
+            x[li[p]] -= lx[p] * xj;
+    }
+    for (j = n - 1; j >= 0; --j) {
+        const int32_t pd = up[j + 1] - 1;
+        const double xj = x[j] / ux[pd];
+        x[j] = xj;
+        for (p = up[j]; p < pd; ++p)
+            x[ui[p]] -= ux[p] * xj;
+    }
+}
+
+/* lu_solve_f64 over m right-hand sides stored row-major; each column
+   sees exactly the operations of the vector kernel. */
+void lu_solve_block_f64(const int32_t *lp, const int32_t *li,
+                        const double *lx, const int32_t *up,
+                        const int32_t *ui, const double *ux,
+                        double *x, int32_t n, int32_t m) {
+    int32_t j, p, c;
+    for (j = 0; j < n; ++j) {
+        const double *xj = x + (int64_t) j * m;
+        for (p = lp[j] + 1; p < lp[j + 1]; ++p) {
+            double *xi = x + (int64_t) li[p] * m;
+            const double l = lx[p];
+            for (c = 0; c < m; ++c) xi[c] -= l * xj[c];
+        }
+    }
+    for (j = n - 1; j >= 0; --j) {
+        const int32_t pd = up[j + 1] - 1;
+        double *xj = x + (int64_t) j * m;
+        for (c = 0; c < m; ++c) xj[c] = xj[c] / ux[pd];
+        for (p = up[j]; p < pd; ++p) {
+            double *xi = x + (int64_t) ui[p] * m;
+            const double u = ux[p];
+            for (c = 0; c < m; ++c) xi[c] -= u * xj[c];
+        }
     }
 }
 
@@ -188,6 +238,10 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
                                   p(f32), i32]
     lib.ldl_solve_f64.argtypes = [p(i32), p(i32), p(f64), p(f64),
                                   p(f64), i32]
+    lib.lu_solve_f64.argtypes = [p(i32), p(i32), p(f64), p(i32), p(i32),
+                                 p(f64), p(f64), i32]
+    lib.lu_solve_block_f64.argtypes = [p(i32), p(i32), p(f64), p(i32),
+                                       p(i32), p(f64), p(f64), i32, i32]
     lib.gather_cast_f32.argtypes = [p(f64), p(i64), p(f32), i32]
     lib.gather_f64.argtypes = [p(f64), p(i64), p(f64), i32]
     lib.scatter_add_f32.argtypes = [p(f64), p(i64), p(f64), p(f32), i32]
@@ -199,7 +253,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
             p(f64), p(i64), p(val), i32, i32]
         getattr(lib, f"scatter_add_block_{sfx}").argtypes = [
             p(f64), p(i64), p(f64), p(val), i32, i32]
-    for fn in (lib.ldl_solve_f32, lib.ldl_solve_f64, lib.gather_cast_f32,
+    for fn in (lib.ldl_solve_f32, lib.ldl_solve_f64, lib.lu_solve_f64,
+               lib.lu_solve_block_f64, lib.gather_cast_f32,
                lib.gather_f64, lib.scatter_add_f32, lib.scatter_add_f64,
                lib.ldl_solve_block_f32, lib.ldl_solve_block_f64,
                lib.gather_block_f32, lib.gather_block_f64,

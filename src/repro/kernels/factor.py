@@ -1,23 +1,26 @@
-"""Reduced-precision local factorizations and fused RAS apply handles.
+"""Exported local factorizations and fused RAS apply handles.
 
 The paper's local solves are "factorise once, apply thousands of times".
-The mixed-precision backends exploit two structural facts:
+The compiled and mixed-precision backends exploit two structural facts:
 
-* the local Dirichlet matrices are SPD, so SuperLU's **symmetric mode**
-  (:data:`~repro.solvers.local.SYMMETRIC_OPTIONS`: minimum degree on
-  ``Aᵀ + A``, diagonal pivots only) produces an LDLᵀ-shaped factor with
-  1.5–2.4× fewer nonzeros than COLAMD LU (measured on the subdomain
-  matrices of the ``bench-e2e`` workloads) — the same factor the
-  reference backend keeps for SPD locals;
+* every FEM local matrix has a symmetric sparsity pattern, so SuperLU
+  orders it by minimum degree on ``Aᵀ + A`` — in **symmetric mode**
+  (:data:`~repro.solvers.local.SYMMETRIC_OPTIONS`, diagonal pivots only)
+  for an SPD matrix, giving an LDLᵀ-shaped factor, and in general mode
+  (:func:`~repro.solvers.local.splu_general`) for a nonsymmetric one,
+  giving an LU with about half the fill of COLAMD — the same factors
+  the reference backend keeps;
 * the factor can be exported to raw CSC arrays once and re-applied by a
-  tight compiled loop (:mod:`.csrc`) in fp32 or fp64, fusing the
-  permutation into precomputed gather/scatter index arrays.
+  tight compiled loop (:mod:`.csrc`), fusing the permutations into
+  precomputed gather/scatter index arrays: L plus D⁻¹ for an LDLᵀ
+  (:class:`SymmetricLDLFactorization`, fp32 or fp64), L and U for an LU
+  (:class:`ExportedLUFactorization`, fp64).  Exporting drops SuperLU's
+  supernodal storage, which holds explicit zeros.
 
-A :class:`SymmetricLDLFactorization` is validated by a probe solve
-before it is trusted (:func:`probe_factorization`); callers fall back to
-the reference fp64 factorization when the probe fails, so accuracy
-regressions degrade to the slow-but-exact path instead of corrupting
-the preconditioner.
+An exported factor is validated by a probe solve before it is trusted
+(:func:`probe_factorization`); callers fall back to the reference fp64
+factorization when the probe fails, so accuracy regressions degrade to
+the slow-but-exact path instead of corrupting the preconditioner.
 """
 
 from __future__ import annotations
@@ -30,14 +33,46 @@ import scipy.sparse.linalg as spla
 
 from ..common.errors import SolverError, SymmetryError
 from ..common.validation import matrix_is_symmetric
-from ..solvers.local import SYMMETRIC_OPTIONS, Factorization
+from ..solvers.local import SYMMETRIC_OPTIONS, Factorization, splu_general
 
 
 def _ptr(arr: np.ndarray, ctype):
     return arr.ctypes.data_as(ct.POINTER(ctype))
 
 
-class SymmetricLDLFactorization(Factorization):
+class _ExportedFactor(Factorization):
+    """A factor held as raw arrays and applied by one compiled in-place
+    pass: ``z = b[piv_in]``, solve on *z*, ``x[piv_out] = z``.
+    Subclasses set ``piv_in``/``piv_out``, ``dtype``/``value_ct``, the
+    kernels ``_solve_fn``/``_solve_block_fn`` and their leading
+    ``_args`` (the factor arrays)."""
+
+    def solve_permuted_inplace(self, z: np.ndarray) -> None:
+        """In-place solve of the already-permuted workspace *z*
+        (``z = b[piv_in]`` on entry, ``x[piv_out]`` on exit)."""
+        self._solve_fn(*self._args, _ptr(z, self.value_ct),
+                       ct.c_int32(self.n))
+
+    def solve_block_permuted_inplace(self, Z: np.ndarray) -> None:
+        """:meth:`solve_permuted_inplace` for a C-contiguous ``(n, m)``
+        block: one sweep over the factor for all *m* columns, each
+        column bitwise equal to its vector solve."""
+        self._solve_block_fn(*self._args, _ptr(Z, self.value_ct),
+                             ct.c_int32(self.n), ct.c_int32(Z.shape[1]))
+
+    def solve(self, b):
+        b = np.asarray(b, dtype=np.float64)
+        z = np.ascontiguousarray(b[self.piv_in], dtype=self.dtype)
+        if b.ndim == 1:
+            self.solve_permuted_inplace(z)
+        else:
+            self.solve_block_permuted_inplace(z)
+        out = np.empty(b.shape)
+        out[self.piv_out] = z
+        return out
+
+
+class SymmetricLDLFactorization(_ExportedFactor):
     """Symmetric-mode SuperLU factor exported to raw LDLᵀ-solve arrays.
 
     With ``lib`` (the compiled kernel library) the factor L is stored
@@ -82,7 +117,8 @@ class SymmetricLDLFactorization(Factorization):
             if not np.array_equal(L.indices[L.indptr[:-1]],
                                   np.arange(self.n)):
                 L.sort_indices()
-            self.piv = np.argsort(lu.perm_r).astype(np.int64)
+            self.piv_in = self.piv_out = \
+                np.argsort(lu.perm_r).astype(np.int64)
             self.indptr = np.ascontiguousarray(L.indptr, dtype=np.int32)
             self.rowind = np.ascontiguousarray(L.indices, dtype=np.int32)
             self.lval = np.ascontiguousarray(L.data, dtype=self.dtype)
@@ -107,35 +143,68 @@ class SymmetricLDLFactorization(Factorization):
                     f"symmetric-mode factorization failed: {exc}") from exc
             self.nnz_factor = int(self._lu.L.nnz + self._lu.U.nnz)
 
-    # -- raw in-place solve on a permuted dtype workspace --------------
-    def solve_permuted_inplace(self, z: np.ndarray) -> None:
-        """In-place LDLᵀ solve of the already-permuted workspace *z*
-        (``z = b[piv]`` on entry, ``x[piv]`` on exit).  Compiled path
-        only."""
-        self._solve_fn(*self._args, _ptr(z, self.value_ct),
-                       ct.c_int32(self.n))
-
-    def solve_block_permuted_inplace(self, Z: np.ndarray) -> None:
-        """:meth:`solve_permuted_inplace` for a C-contiguous ``(n, m)``
-        block: one sweep over L for all *m* columns, each column
-        bitwise equal to its vector solve."""
-        self._solve_block_fn(*self._args, _ptr(Z, self.value_ct),
-                             ct.c_int32(self.n), ct.c_int32(Z.shape[1]))
-
-    # -- public fp64 contract ------------------------------------------
     def solve(self, b):
+        if self._lib is not None:
+            return super().solve(b)
         b = np.asarray(b, dtype=np.float64)
-        if self._lib is None:
-            out = self._lu.solve(np.ascontiguousarray(b, dtype=self.dtype))
-            return np.asarray(out, dtype=np.float64)
-        z = np.ascontiguousarray(b[self.piv], dtype=self.dtype)
-        if b.ndim == 1:
-            self.solve_permuted_inplace(z)
-        else:
-            self.solve_block_permuted_inplace(z)
-        out = np.empty(b.shape)
-        out[self.piv] = z
-        return out
+        out = self._lu.solve(np.ascontiguousarray(b, dtype=self.dtype))
+        return np.asarray(out, dtype=np.float64)
+
+
+class ExportedLUFactorization(_ExportedFactor):
+    """General-mode SuperLU LU exported to raw CSC arrays (fp64).
+
+    The factor of :func:`~repro.solvers.local.splu_general` (``Pr A Pc
+    = L U``, ordered on ``Aᵀ + A`` when the pattern of *A* is
+    symmetric) is stored once as int32 CSC ``L`` — unit diagonal first
+    in every column — and ``U`` — diagonal last — with ``Pr`` folded
+    into the gather and ``Pc`` into the scatter, and the SuperLU object
+    is dropped.  Every solve is one compiled forward + backward pass
+    (``lu_solve_f64``) over *lib*, the compiled kernel library.
+    """
+
+    dtype = np.dtype(np.float64)
+    value_ct = ct.c_double
+
+    def __init__(self, A, lib):
+        A = sp.csc_matrix(A)
+        if A.shape[0] != A.shape[1]:
+            raise SolverError(f"matrix must be square, got {A.shape}")
+        self.n = A.shape[0]
+        self._lib = lib
+        try:
+            lu = splu_general(A)
+        except RuntimeError as exc:
+            raise SolverError(f"SuperLU factorization failed: {exc}") from exc
+        L, U = lu.L, lu.U
+        # the kernel needs L's diagonal first and U's last in every
+        # column, which is how SuperLU emits them; sort only if not
+        if not _lu_layout_ok(L, U):
+            L.sort_indices()
+            U.sort_indices()
+            if not _lu_layout_ok(L, U):
+                raise SolverError("LU factor is missing diagonal entries")
+        self.piv_in = np.argsort(lu.perm_r).astype(np.int64)
+        self.piv_out = np.argsort(lu.perm_c).astype(np.int64)
+        self.nnz_factor = int(L.nnz + U.nnz)
+        self.l_indptr = np.ascontiguousarray(L.indptr, dtype=np.int32)
+        self.l_rowind = np.ascontiguousarray(L.indices, dtype=np.int32)
+        self.lval = np.ascontiguousarray(L.data, dtype=np.float64)
+        self.u_indptr = np.ascontiguousarray(U.indptr, dtype=np.int32)
+        self.u_rowind = np.ascontiguousarray(U.indices, dtype=np.int32)
+        self.uval = np.ascontiguousarray(U.data, dtype=np.float64)
+        i32, f64 = ct.c_int32, ct.c_double
+        self._args = (_ptr(self.l_indptr, i32), _ptr(self.l_rowind, i32),
+                      _ptr(self.lval, f64), _ptr(self.u_indptr, i32),
+                      _ptr(self.u_rowind, i32), _ptr(self.uval, f64))
+        self._solve_fn = lib.lu_solve_f64
+        self._solve_block_fn = lib.lu_solve_block_f64
+
+
+def _lu_layout_ok(L: sp.csc_matrix, U: sp.csc_matrix) -> bool:
+    diag = np.arange(L.shape[0])
+    return bool(np.array_equal(L.indices[L.indptr[:-1]], diag)
+                and np.array_equal(U.indices[U.indptr[1:] - 1], diag))
 
 
 def probe_factorization(fact, A, tol: float) -> bool:
@@ -162,23 +231,27 @@ def probe_factorization(fact, A, tol: float) -> bool:
 class FusedLocalApply:
     """One subdomain's RAS contribution as a single fused pass.
 
-    Precomputes ``dofs[piv]`` and ``d[piv]`` so the permutation of the
-    LDLᵀ solve is folded into the global gather/scatter index arrays:
-    ``apply_weighted`` reads the fp64 global residual, casts into the
-    dtype workspace, solves in place, and scatter-accumulates
+    Precomputes ``dofs[piv_in]``, ``dofs[piv_out]`` and ``d[piv_out]``
+    so the permutations of the exported solve (one for an LDLᵀ, row and
+    column for an LU) are folded into the global gather/scatter index
+    arrays: ``apply_weighted`` reads the fp64 global residual, casts
+    into the dtype workspace, solves in place, and scatter-accumulates
     ``D_i · x_i`` back into the fp64 output — no intermediate local
     vectors, no separate permutation step.
     """
 
-    def __init__(self, fact: SymmetricLDLFactorization,
-                 dofs: np.ndarray, d: np.ndarray):
+    def __init__(self, fact: _ExportedFactor, dofs: np.ndarray,
+                 d: np.ndarray):
         lib = fact._lib
         self.fact = fact
         self.n = fact.n
-        self.dofs_piv = np.ascontiguousarray(
-            np.asarray(dofs, dtype=np.int64)[fact.piv])
+        dofs = np.asarray(dofs, dtype=np.int64)
+        self.gather_idx = np.ascontiguousarray(dofs[fact.piv_in])
+        self.scatter_idx = self.gather_idx \
+            if fact.piv_out is fact.piv_in \
+            else np.ascontiguousarray(dofs[fact.piv_out])
         self.d_piv = np.ascontiguousarray(
-            np.asarray(d, dtype=np.float64)[fact.piv])
+            np.asarray(d, dtype=np.float64)[fact.piv_out])
         self._z = np.empty(self.n, dtype=fact.dtype)
         if fact.dtype == np.float32:
             self._gather, self._scatter = lib.gather_cast_f32, \
@@ -191,16 +264,17 @@ class FusedLocalApply:
         self._gather_block = getattr(lib, f"gather_block_{sfx}")
         self._scatter_block = getattr(lib, f"scatter_add_block_{sfx}")
         self._z_ptr = _ptr(self._z, fact.value_ct)
-        self._idx_ptr = _ptr(self.dofs_piv, ct.c_int64)
+        self._gidx_ptr = _ptr(self.gather_idx, ct.c_int64)
+        self._sidx_ptr = _ptr(self.scatter_idx, ct.c_int64)
         self._d_ptr = _ptr(self.d_piv, ct.c_double)
         self._n_ct = ct.c_int32(self.n)
 
     def apply_weighted(self, r: np.ndarray, out: np.ndarray) -> None:
         """out += R_iᵀ D_i A_i⁻¹ R_i r (both global fp64 vectors)."""
-        self._gather(_ptr(r, ct.c_double), self._idx_ptr, self._z_ptr,
+        self._gather(_ptr(r, ct.c_double), self._gidx_ptr, self._z_ptr,
                      self._n_ct)
         self.fact.solve_permuted_inplace(self._z)
-        self._scatter(_ptr(out, ct.c_double), self._idx_ptr, self._d_ptr,
+        self._scatter(_ptr(out, ct.c_double), self._sidx_ptr, self._d_ptr,
                       self._z_ptr, self._n_ct)
 
     def apply_weighted_block(self, R: np.ndarray, out: np.ndarray) -> None:
@@ -209,10 +283,10 @@ class FusedLocalApply:
         m = ct.c_int32(R.shape[1])
         Z = np.empty((self.n, R.shape[1]), dtype=self.fact.dtype)
         z_ptr = _ptr(Z, self.fact.value_ct)
-        self._gather_block(_ptr(R, ct.c_double), self._idx_ptr, z_ptr,
+        self._gather_block(_ptr(R, ct.c_double), self._gidx_ptr, z_ptr,
                            self._n_ct, m)
         self.fact.solve_block_permuted_inplace(Z)
-        self._scatter_block(_ptr(out, ct.c_double), self._idx_ptr,
+        self._scatter_block(_ptr(out, ct.c_double), self._sidx_ptr,
                             self._d_ptr, z_ptr, self._n_ct, m)
 
 

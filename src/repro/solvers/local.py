@@ -5,7 +5,9 @@ WSMP) behind one "factorise, then solve many times" contract.  We provide
 the same contract with four backends:
 
 * ``"superlu"`` — scipy's SuperLU (the fast production default; LDLᵀ
-  in symmetric mode for matrices the caller declares SPD),
+  in symmetric mode for matrices the caller declares SPD, otherwise an
+  LU ordered on ``Aᵀ + A`` when the sparsity pattern is symmetric —
+  every FEM local is — and by COLAMD when it is not),
 * ``"band"``    — RCM reordering + LAPACK band Cholesky (envelope method),
 * ``"ldl"``     — the from-scratch up-looking sparse LDLᵀ,
 * ``"dense"``   — LAPACK Cholesky/LU on the densified matrix (tiny systems).
@@ -36,14 +38,47 @@ class Factorization:
 
 
 #: SuperLU symmetric mode: minimum degree on Aᵀ + A and diagonal pivots
-#: only — an LDLᵀ-shaped factor of an SPD matrix, with 1.5–2.4× fewer
-#: factor nonzeros than the general mode's COLAMD + partial-pivoting LU
-#: on this repository's subdomain matrices
+#: only — an LDLᵀ-shaped factor of an SPD matrix (``perm_r == perm_c``),
+#: whose one triangle plus diagonal is all a solve needs; 1.5–2.4× fewer
+#: factor nonzeros than a COLAMD LU on this repository's subdomain
+#: matrices
 SYMMETRIC_OPTIONS = dict(
     permc_spec="MMD_AT_PLUS_A",
     diag_pivot_thresh=0.0,
     options=dict(SymmetricMode=True),
 )
+
+
+#: general-mode LU of a matrix whose sparsity pattern is symmetric:
+#: minimum degree on Aᵀ + A (the symmetrised-pattern ordering MUMPS and
+#: PaStiX use) with threshold partial pivoting that prefers the diagonal
+#: — about half the fill of COLAMD on the convection–diffusion and
+#: Helmholtz locals
+SYMMETRIC_PATTERN_OPTIONS = dict(
+    permc_spec="MMD_AT_PLUS_A",
+    diag_pivot_thresh=0.1,
+)
+
+
+def _pattern_is_symmetric(A: sp.csc_matrix) -> bool:
+    """Whether the stored sparsity pattern of *A* equals that of Aᵀ
+    (values ignored; explicit zeros count as entries)."""
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    At = A.T.tocsc()        # csr → csc conversion emits sorted indices
+    return bool(np.array_equal(A.indptr, At.indptr)
+                and np.array_equal(A.indices, At.indices))
+
+
+def splu_general(A: sp.csc_matrix):
+    """SuperLU's general-mode LU of *A*, ordered by
+    :data:`SYMMETRIC_PATTERN_OPTIONS` when the pattern of *A* is
+    symmetric and by SuperLU's default COLAMD when it is not.  Raises
+    ``RuntimeError`` on a singular matrix, as ``splu`` does."""
+    if _pattern_is_symmetric(A):
+        return spla.splu(A, **SYMMETRIC_PATTERN_OPTIONS)
+    return spla.splu(A)
 
 
 def _probably_symmetric(A: sp.csc_matrix, tol: float = 1e-10) -> bool:
@@ -59,10 +94,11 @@ class SuperLUFactorization(Factorization):
     (shifted) matrix is SPD and symmetric mode is tried first; its
     factor is kept only if *A* passes a symmetry probe and the factor
     is a genuine LDLᵀ — no off-diagonal pivot, every pivot finite and
-    positive — else the matrix is factorised by the general-mode LU, so
-    a wrong claim costs time, never accuracy.  (The pivot test alone
-    cannot catch a nonsymmetric positive-real matrix such as a
-    convection–diffusion operator: its no-pivot pivots are positive.)"""
+    positive — else the matrix is factorised by the general-mode LU
+    (:func:`splu_general`), so a wrong claim costs time, never
+    accuracy.  (The pivot test alone cannot catch a nonsymmetric
+    positive-real matrix such as a convection–diffusion operator: its
+    no-pivot pivots are positive.)"""
 
     def __init__(self, A: sp.spmatrix, shift: float = 0.0,
                  spd: bool = False):
@@ -81,7 +117,7 @@ class SuperLUFactorization(Factorization):
                     np.array_equal(self._lu.perm_r, self._lu.perm_c)
                     and np.all(np.isfinite(pivots)) and np.all(pivots > 0))
             if not self.symmetric:
-                self._lu = spla.splu(A)
+                self._lu = splu_general(A)
                 L, U = self._lu.L, self._lu.U
         except RuntimeError as exc:
             raise SolverError(f"SuperLU factorization failed: {exc}") from exc

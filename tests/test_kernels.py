@@ -28,8 +28,9 @@ from repro.core.coarse import CoarseOperator
 from repro.core.deflation import DeflationSpace
 from repro.core.geneo import compute_deflation
 from repro.core.ras import OneLevelRAS
+from repro.dd import Decomposition, Problem
 from repro.fem import channels_and_inclusions
-from repro.fem.forms import DiffusionForm
+from repro.fem.forms import ConvectionDiffusionForm, DiffusionForm
 from repro.kernels import (
     ENV_VAR,
     BackendUnavailable,
@@ -52,6 +53,7 @@ from repro.kernels.registry import _FACTORIES
 from repro.krylov import fgmres, gmres
 from repro.mesh import unit_square
 from repro.obs import Recorder
+from repro.partition import partition_mesh
 from repro.resilience import HealthMonitor
 from repro.solvers.ldl import SparseLDL
 
@@ -296,15 +298,34 @@ def test_fused_local_apply_matches_plain(rng):
     assert np.allclose(out, ref, atol=1e-5 * np.abs(ref).max())
 
 
+@pytest.fixture(scope="module")
+def convdiff_decomposition():
+    mesh = unit_square(10)
+    kappa = channels_and_inclusions(mesh, seed=4)
+    form = ConvectionDiffusionForm(degree=2, kappa=0.02 * kappa,
+                                   beta=np.array([60.0, 24.0]))
+    return Decomposition(Problem(mesh, form, scaling="jacobi"),
+                         partition_mesh(mesh, 4, seed=0), delta=1)
+
+
 @pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
-@pytest.mark.parametrize("backend", [CompiledBackend, Fp32Backend])
-def test_fused_apply_block_matches_columns(diffusion_decomposition, rng,
-                                           backend):
+@pytest.mark.parametrize("backend,decomposition", [
+    pytest.param(CompiledBackend, "diffusion_decomposition",
+                 id="CompiledBackend"),
+    pytest.param(Fp32Backend, "diffusion_decomposition", id="Fp32Backend"),
+    pytest.param(CompiledBackend, "convdiff_decomposition",
+                 id="CompiledBackend-convdiff"),
+])
+def test_fused_apply_block_matches_columns(request, rng, backend,
+                                           decomposition):
     """The fused block kernels run each column through exactly the
-    operations of the vector apply."""
-    dec = diffusion_decomposition
+    operations of the vector apply — LDLᵀ locals of a diffusion problem
+    and the exported LU locals of a convection–diffusion one."""
+    dec = request.getfixturevalue(decomposition)
     ras = OneLevelRAS(dec, kernels=backend())
     assert ras._fused is not None
+    if backend is CompiledBackend:
+        assert all(isinstance(h, FusedLocalApply) for h in ras._fused)
     R = rng.standard_normal((dec.problem.num_free, 5))
     P = ras.apply_block(R)
     for c in range(R.shape[1]):

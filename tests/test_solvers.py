@@ -73,12 +73,13 @@ class TestBackends:
 
     def test_spd_superlu_is_ldlt(self, spd_system):
         """Symmetric mode on an SPD FEM matrix: diagonal pivots only,
-        fewer factor nonzeros than the general LU, an exact solve."""
+        fewer factor nonzeros than a COLAMD LU, an exact solve."""
         A, b, _ = spd_system
         f = factorize(A, "superlu", spd=True)
         assert f.symmetric
         assert np.array_equal(f._lu.perm_r, f._lu.perm_c)
-        assert f.nnz_factor < factorize(A, "superlu").nnz_factor
+        colamd = spla.splu(A.tocsc())
+        assert f.nnz_factor < colamd.L.nnz + colamd.U.nnz
         x = f.solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -89,10 +90,17 @@ class TestBackends:
         nonsymmetric (positive-real) convection–diffusion A_dir the
         symmetry probe; both keep the general LU.  The ``compiled``
         kernel backend honours the decomposition's own ``spd=`` verdict
-        the same way: no unpivoted LDLᵀ of an indefinite local."""
+        the same way: no unpivoted LDLᵀ of an indefinite local.  The
+        general LU orders these symmetric-pattern locals on Aᵀ + A —
+        never more fill than COLAMD — and the ``compiled`` backend
+        exports it to its own L/U arrays, matching the reference
+        solve."""
         from repro.kernels import get_backend
         from repro.kernels.csrc import load_library
-        from repro.kernels.factor import SymmetricLDLFactorization
+        from repro.kernels.factor import (
+            ExportedLUFactorization,
+            SymmetricLDLFactorization,
+        )
         compiled = (get_backend("compiled") if load_library() is not None
                     else None)
         mesh = unit_square(10)
@@ -108,15 +116,45 @@ class TestBackends:
         for s in dec.subdomains:
             f = factorize(s.A_dir, "superlu", spd=True)
             assert not f.symmetric
-            assert f.nnz_factor == factorize(s.A_dir, "superlu").nnz_factor
+            ref = factorize(s.A_dir, "superlu")
+            assert f.nnz_factor == ref.nnz_factor
+            colamd = spla.splu(sp.csc_matrix(s.A_dir))
+            assert ref.nnz_factor <= colamd.L.nnz + colamd.U.nnz
             b = np.ones(f.n)
-            r = s.A_dir @ f.solve(b) - b
-            assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
+            for g in (f, ref):
+                r = s.A_dir @ g.solve(b) - b
+                assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
             if compiled is None:
                 continue
             f = compiled.factorize_local(s.A_dir, spd=dec.is_spd)
             assert not isinstance(f, SymmetricLDLFactorization)
-            r = s.A_dir @ f.solve(b) - b
+            assert isinstance(f, ExportedLUFactorization)
+            assert f.nnz_factor == ref.nnz_factor
+            x_ref = ref.solve(b)
+            assert np.linalg.norm(f.solve(b) - x_ref) <= \
+                1e-12 * np.linalg.norm(x_ref)
+
+    def test_unsymmetric_pattern_keeps_colamd(self):
+        """A structurally nonsymmetric matrix is no FEM local: its
+        general LU keeps SuperLU's default COLAMD ordering — exactly the
+        fill of ``spla.splu`` (the Aᵀ + A ordering gives 554 nonzeros
+        here, not 743) — through the reference factor and the
+        ``compiled`` export alike."""
+        from repro.kernels import get_backend
+        from repro.kernels.csrc import load_library
+        from repro.kernels.factor import ExportedLUFactorization
+        A = sp.csc_matrix(sp.random(60, 60, density=0.05, random_state=0)
+                          + 4.0 * sp.eye(60))
+        assert ((A != 0) != (A.T != 0)).nnz > 0
+        colamd = spla.splu(A)
+        facts = [factorize(A, "superlu")]
+        if load_library() is not None:
+            facts.append(get_backend("compiled").factorize_local(A))
+            assert isinstance(facts[-1], ExportedLUFactorization)
+        b = np.ones(60)
+        for f in facts:
+            assert f.nnz_factor == colamd.L.nnz + colamd.U.nnz
+            r = A @ f.solve(b) - b
             assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
 
     def test_spd_ldlt_accepts_shifted_neumann(self):
