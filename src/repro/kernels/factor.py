@@ -155,11 +155,10 @@ class ExportedLUFactorization(_ExportedFactor):
     """General-mode SuperLU LU exported to raw CSC arrays (fp64).
 
     The factor of :func:`~repro.solvers.local.splu_general` (``Pr A Pc
-    = L U``, ordered on ``Aᵀ + A`` when the pattern of *A* is
-    symmetric) is stored once as int32 CSC ``L`` — unit diagonal first
-    in every column — and ``U`` — diagonal last — with ``Pr`` folded
-    into the gather and ``Pc`` into the scatter, and the SuperLU object
-    is dropped.  Every solve is one compiled forward + backward pass
+    = L U``, ordered on ``Aᵀ + A``) is stored once as int32 CSC ``L`` —
+    unit diagonal first in every column — and ``U`` — diagonal last —
+    with ``Pr`` folded into the gather and ``Pc`` into the scatter, and
+    the SuperLU object is dropped.  Every solve is one compiled forward + backward pass
     (``lu_solve_f64``) over *lib*, the compiled kernel library.
     """
 

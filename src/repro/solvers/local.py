@@ -6,8 +6,7 @@ the same contract with four backends:
 
 * ``"superlu"`` — scipy's SuperLU (the fast production default; LDLᵀ
   in symmetric mode for matrices the caller declares SPD, otherwise an
-  LU ordered on ``Aᵀ + A`` when the sparsity pattern is symmetric —
-  every FEM local is — and by COLAMD when it is not),
+  LU ordered by minimum degree on ``Aᵀ + A``),
 * ``"band"``    — RCM reordering + LAPACK band Cholesky (envelope method),
 * ``"ldl"``     — the from-scratch up-looking sparse LDLᵀ,
 * ``"dense"``   — LAPACK Cholesky/LU on the densified matrix (tiny systems).
@@ -49,36 +48,21 @@ SYMMETRIC_OPTIONS = dict(
 )
 
 
-#: general-mode LU of a matrix whose sparsity pattern is symmetric:
-#: minimum degree on Aᵀ + A (the symmetrised-pattern ordering MUMPS and
-#: PaStiX use) with threshold partial pivoting that prefers the diagonal
-#: — about half the fill of COLAMD on the convection–diffusion and
-#: Helmholtz locals
+#: general-mode LU: minimum degree on Aᵀ + A (the symmetrised-pattern
+#: ordering MUMPS and PaStiX use) with threshold partial pivoting that
+#: prefers the diagonal — about half the fill of COLAMD on the
+#: convection–diffusion and Helmholtz locals
 SYMMETRIC_PATTERN_OPTIONS = dict(
     permc_spec="MMD_AT_PLUS_A",
     diag_pivot_thresh=0.1,
 )
 
 
-def _pattern_is_symmetric(A: sp.csc_matrix) -> bool:
-    """Whether the stored sparsity pattern of *A* equals that of Aᵀ
-    (values ignored; explicit zeros count as entries)."""
-    if not A.has_canonical_format:
-        A = A.copy()
-        A.sum_duplicates()
-    At = A.T.tocsc()        # csr → csc conversion emits sorted indices
-    return bool(np.array_equal(A.indptr, At.indptr)
-                and np.array_equal(A.indices, At.indices))
-
-
 def splu_general(A: sp.csc_matrix):
     """SuperLU's general-mode LU of *A*, ordered by
-    :data:`SYMMETRIC_PATTERN_OPTIONS` when the pattern of *A* is
-    symmetric and by SuperLU's default COLAMD when it is not.  Raises
-    ``RuntimeError`` on a singular matrix, as ``splu`` does."""
-    if _pattern_is_symmetric(A):
-        return spla.splu(A, **SYMMETRIC_PATTERN_OPTIONS)
-    return spla.splu(A)
+    :data:`SYMMETRIC_PATTERN_OPTIONS`.  Raises ``RuntimeError`` on a
+    singular matrix, as ``splu`` does."""
+    return spla.splu(A, **SYMMETRIC_PATTERN_OPTIONS)
 
 
 def _probably_symmetric(A: sp.csc_matrix, tol: float = 1e-10) -> bool:
