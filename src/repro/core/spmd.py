@@ -7,14 +7,15 @@ Everything in this module runs with one thread per subdomain against
   (splitComm with the master at local rank 0, masterComm across masters,
   ``MPI_COMM_NULL`` on slaves) with uniform or non-uniform election;
 * :func:`assemble_coarse_spmd` — **algorithm 1** (neighbourhood exchange
-  of the overlap rows of T_i = A_iW_i, Isend/Irecv/Waitany) and
+  of the overlap rows of T_i = A_iW_i, Isend then blocking receives in
+  sorted-neighbour order) and
   **algorithm 2** (slaves pack ``[O_i | E_{i,i} | E_{i,j}…]`` into one
   double message to their master; masters compute all indices and
   assemble their distributed row block) followed by the cooperative
   factorization of E on masterComm;
-* :class:`SpmdRank.correction` — the §3.2 coarse correction:
-  ``Gather(v)`` on splitComm, distributed solve, ``Scatter(v)``,
-  then the eq. (12) overlap exchange;
+* :meth:`SpmdRank.correction` — the §3.2 coarse correction:
+  ``Gather(v)`` on splitComm, distributed solve, ``Scatter(v)``
+  (:meth:`SpmdRank.coarse_solve`), then the eq. (12) overlap exchange;
 * :func:`spmd_gmres` — classical right-preconditioned GMRES with
   distributed vectors: :func:`repro.krylov.gmres` with the rank as its
   ``kernels`` (dots via one ``allreduce`` batch per iteration);
@@ -35,8 +36,8 @@ from ..dd.decomposition import Decomposition
 from ..krylov.gmres import gmres
 from ..krylov.pipelined import _lsq_residual, _lsq_solve
 from ..mpi.meter import Meter
-from ..mpi.simmpi import Comm, run_spmd, waitany
-from ..solvers import DistributedCholesky, factorize
+from ..mpi.simmpi import Comm, run_spmd
+from ..solvers import DistributedCholesky
 from .coarse import elect_masters_nonuniform, elect_masters_uniform
 from .deflation import DeflationSpace
 
@@ -92,6 +93,8 @@ class SpmdRank:
     W: np.ndarray
     layout: MasterLayout
     factor: object                      # factorization of A_dir
+    #: T_i = A_dir W_i (algorithm 1 line 3): A·Z·y is exchange(T_i y_i)
+    T: np.ndarray
     coarse: DistributedCholesky | None = None
     row_starts: np.ndarray | None = None
     nu_all: np.ndarray | None = None
@@ -121,7 +124,11 @@ class SpmdRank:
 
     # -- neighbour exchange (the matvec communication pattern) ----------
     def exchange(self, x: np.ndarray, tag_base: int) -> np.ndarray:
-        """y = Σ_{j∈Ō_i} R_iR_jᵀ x_j via Isend/Irecv with the neighbours."""
+        """y = Σ_{j∈Ō_i} R_iR_jᵀ x_j via Isend/Recv with the neighbours.
+
+        Contributions are added in sorted-neighbour order, as
+        :meth:`~repro.dd.Decomposition.exchange_sum` adds them, so the
+        sum is bitwise independent of message arrival order."""
         sub = self.sub
         comm = self.comm
         self._tag_counter = (self._tag_counter + 1) % 997
@@ -129,13 +136,8 @@ class SpmdRank:
         for j in sub.neighbors:
             comm.isend(x[sub.shared[j]], j, tag)
         out = x.copy()
-        pending = {j: comm.irecv(j, tag) for j in sub.neighbors}
-        while pending:
-            keys = list(pending.keys())
-            idx, val = waitany([pending[k] for k in keys])
-            j = keys[idx]
-            del pending[j]
-            out[sub.shared[j]] += val
+        for j in sub.neighbors:
+            out[sub.shared[j]] += comm.recv(j, tag)
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -180,21 +182,19 @@ class SpmdRank:
         return 2
 
     # -- coarse correction (§3.2) ---------------------------------------
-    def correction(self, u: np.ndarray, h_local: np.ndarray | None = None):
-        """z_i = (Z E⁻¹ Zᵀ u)_i.
+    def coarse_solve(self, u: np.ndarray, h_local: np.ndarray | None = None):
+        """y_i, this rank's block of y = E⁻¹ Zᵀ u.
 
         With *h_local* given, implements the §3.5 fused transfer: the
         local reduction contributions ride the Gather, the masters run a
         single overlapped Iallreduce while solving the coarse system, and
         the reduced values come back with the Scatter.  Returns
-        ``(z_i, h_global)`` (``h_global`` is None in the plain mode).
+        ``(y_i, h_global)`` (``h_global`` is None in the plain mode).
         """
-        sub = self.sub
         split = self.layout.split
         w = self.W.T @ u                         # gemv (step 1)
         payload = w if h_local is None else (w, h_local)
         parts = split.gather(payload, root=0, kind="gatherv")
-        h_global = None
         if self.layout.is_master:
             mc = self.layout.master_comm
             if h_local is None:
@@ -220,16 +220,24 @@ class SpmdRank:
         else:
             got = split.scatter(None, root=0, kind="scatterv")
         if h_local is None:
-            y = got
-        else:
-            y, h_global = got
-        z = self.W @ y                           # step 3 (gemv)
-        return self.exchange(z, _TAG_Z), h_global   # eq. (12)
+            return got, None
+        return got
+
+    def correction(self, u: np.ndarray, h_local: np.ndarray | None = None):
+        """z_i = (Z E⁻¹ Zᵀ u)_i: :meth:`coarse_solve`, step 3 and the
+        eq. (12) exchange.  Returns ``(z_i, h_global)``."""
+        y, h_global = self.coarse_solve(u, h_local)
+        return self.exchange(self.W @ y, _TAG_Z), h_global
 
     def adef1(self, u: np.ndarray, h_local: np.ndarray | None = None):
-        """(P⁻¹_A-DEF1 u)_i — one coarse solve, reused in both terms."""
-        w, h_global = self.correction(u, h_local)
-        v = u - self.matvec(w)
+        """(P⁻¹_A-DEF1 u)_i — one coarse solve, reused in both terms:
+        w = Z y as in :meth:`correction`, and A·w = A·Z·y from the cached
+        T — the distributed
+        :meth:`~repro.core.coarse.CoarseOperator.az_dot_blocks`, one
+        exchange and no local SpMV."""
+        y, h_global = self.coarse_solve(u, h_local)
+        w = self.exchange(self.W @ y, _TAG_Z)
+        v = u - self.exchange(self.T @ y, _TAG_X)
         return self.ras(v) + w, h_global
 
 
@@ -260,20 +268,15 @@ def assemble_coarse_spmd(comm: Comm, dec: Decomposition,
     nu_neigh = rq_nu.wait()
     for j in neighbors:                                        # lines 4-7
         comm.isend(np.ascontiguousarray(T[sub.shared[j]]), j, _TAG_T)
-    pending = {j: comm.irecv(j, _TAG_T) for j in neighbors}
     blocks: dict[int, np.ndarray] = {}
     blocks[i] = W.T @ T                                        # line 8
-    while pending:                                             # lines 9-12
-        keys = list(pending.keys())
-        idx, U = waitany([pending[k] for k in keys])
-        j = keys[idx]
-        del pending[j]
+    for j in neighbors:                                        # lines 9-12
+        U = comm.recv(j, _TAG_T)
         blocks[j] = np.ascontiguousarray(W[sub.shared[j]]).T @ U
 
     # ---- algorithm 2 -------------------------------------------------
     rank = SpmdRank(comm=comm, dec=dec, index=i, W=W, layout=layout,
-                    factor=factorize(sub.A_dir, factor_backend,
-                                     spd=dec.is_spd))
+                    factor=rank_factor(dec, i, factor_backend), T=T)
     if layout.is_master:
         mc = layout.master_comm
         # line 15: masters share every rank's ν to build the offsets r_i
@@ -293,16 +296,9 @@ def assemble_coarse_spmd(comm: Comm, dec: Decomposition,
         # blocks local to the master (lines 20-23)
         _place_blocks(rows, r0, offsets, i, blocks)
         # messages from the slaves (lines 17-19, 25-31)
-        reqs = {}
         for k in range(1, split.size):
-            reqs[k] = split.irecv(k, tag=_TAG_T + 500)
-        while reqs:
-            keys = list(reqs.keys())
-            idx, msg = waitany([reqs[k] for k in keys])
-            k = keys[idx]
-            del reqs[k]
-            slave_world = group_ranks[k]
-            _unpack_and_place(rows, r0, offsets, slave_world, msg, nu_all)
+            msg = split.recv(k, tag=_TAG_T + 500)
+            _unpack_and_place(rows, r0, offsets, group_ranks[k], msg, nu_all)
         # numerical factorization (line 33) — cooperative on masterComm
         master_rows = np.array([offsets[layout.masters[p]]
                                 for p in range(mc.size)] + [mdim])
@@ -319,6 +315,13 @@ def assemble_coarse_spmd(comm: Comm, dec: Decomposition,
             + [blocks[j].ravel() for j in neighbors])
         split.isend(msg, 0, tag=_TAG_T + 500)
     return rank
+
+
+def rank_factor(dec: Decomposition, i: int, backend: str):
+    """Rank *i*'s local factor: the call :class:`~repro.core.ras.OneLevelRAS`
+    makes, on the decomposition's kernel backend."""
+    return dec.kernels.factorize_local(dec.subdomains[i].A_dir, backend,
+                                       spd=dec.is_spd)
 
 
 def _regather_group_meta(split: Comm, nu_i: int, n_neigh: int):

@@ -48,10 +48,10 @@ from ..resilience.checkpoint import (CheckpointStore, IterateCheckpoint,
                                      jacobi_surrogate, partner_map,
                                      pou_reconstruct, pou_send_contribution,
                                      setup_payload, TAG_RESTORE_ITER)
-from ..solvers import DistributedCholesky, factorize
+from ..solvers import DistributedCholesky
 from .deflation import DeflationSpace
 from .spmd import (IterationTick, SpmdRank, assemble_coarse_spmd,
-                   build_master_comms, spmd_gmres)
+                   build_master_comms, rank_factor, spmd_gmres)
 
 
 @dataclass
@@ -264,8 +264,7 @@ def _ft_recover(comm: Comm, plan: dict, st: _RankState | None,
         sub = dec.subdomains[comm.rank]
         if blob is not None:
             W = blob["W"]
-            factor = factorize(sub.A_dir, env.factor_backend,
-                               spd=dec.is_spd)
+            factor = rank_factor(dec, comm.rank, env.factor_backend)
             rec["restored_from_ckpt"].append(comm.rank)
         else:
             # no replica: Jacobi-surrogate local solve, basis re-read
@@ -276,8 +275,9 @@ def _ft_recover(comm: Comm, plan: dict, st: _RankState | None,
             blob = {"index": comm.rank, "W": np.asarray(W).copy(),
                     "is_master": comm.rank in masters}
             rec["degraded_local"].append(comm.rank)
-        rank = SpmdRank(comm=comm, dec=dec, index=comm.rank,
-                        W=np.asarray(W), layout=layout, factor=factor)
+        W = np.asarray(W)
+        rank = SpmdRank(comm=comm, dec=dec, index=comm.rank, W=W,
+                        layout=layout, factor=factor, T=sub.A_dir @ W)
         if "rows" in blob:
             rank.rows = blob["rows"].copy()
             rank.row_starts = blob["row_starts"]

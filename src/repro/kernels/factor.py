@@ -32,8 +32,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..common.errors import SolverError, SymmetryError
-from ..common.validation import matrix_is_symmetric
-from ..solvers.local import SYMMETRIC_OPTIONS, Factorization, splu_general
+from ..solvers.local import (SYMMETRIC_OPTIONS, Factorization,
+                             _probably_symmetric, splu_general)
 
 
 def _ptr(arr: np.ndarray, ctype):
@@ -91,10 +91,11 @@ class SymmetricLDLFactorization(_ExportedFactor):
         A = sp.csc_matrix(A)
         if A.shape[0] != A.shape[1]:
             raise SolverError(f"matrix must be square, got {A.shape}")
-        if not matrix_is_symmetric(A):
+        if not _probably_symmetric(A):
             # SuperLU symmetric mode (no pivoting, MMD on AᵀA + A) is
             # structurally wrong for nonsymmetric input; fail with a
-            # typed error here instead of hoping a probe catches it
+            # typed error here instead of hoping a probe catches it —
+            # the reference backend's symmetry rule, two SpMVs
             raise SymmetryError(
                 "SymmetricLDLFactorization requires a symmetric matrix; "
                 "use the general-mode LU (repro.solvers.factorize) for "

@@ -2,14 +2,13 @@
 
 from .meter import Meter, RankStats, payload_bytes
 from .trace import Span, Tracer
-from .simmpi import Comm, NeighborComm, Request, run_spmd, waitany
+from .simmpi import Comm, NeighborComm, Request, run_spmd
 
 __all__ = [
     "Comm",
     "NeighborComm",
     "Request",
     "run_spmd",
-    "waitany",
     "Meter",
     "RankStats",
     "payload_bytes",

@@ -4,7 +4,8 @@ The paper's algorithms (the neighbour exchanges of eq. 5, the
 master–slave coarse-operator assembly of algorithms 1–2, the fused
 pipelined GMRES of §3.5) are written against message passing.  Running
 them *literally* — each rank a thread, each message a queue transfer,
-each collective a barrier rendezvous — keeps this reproduction honest:
+each rooted collective point-to-point to or from its root and every
+other collective a barrier rendezvous — keeps this reproduction honest:
 the communication schedule exercised here is the one the paper describes,
 and the attached :class:`~repro.mpi.meter.Meter` counts exactly the
 traffic the paper's cost analysis (§3.3) predicts.
@@ -54,10 +55,13 @@ from .meter import Meter, payload_bytes
 
 #: barrier/recv timeout (seconds): a blown deadline means a deadlock bug
 _TIMEOUT = 300.0
-_POLL = 0.0005
 #: error-box poll period while blocked in recv — a peer's failure
 #: surfaces within this many seconds, not after the blocking deadline
 _ERR_POLL = 0.02
+#: mailbox tag of the rooted collectives' internal transfers; no
+#: point-to-point call can pass it, and every rank calls collectives
+#: in the same order, so per-pair FIFO order matches calls to messages
+_ROOTED = "rooted"
 
 
 # ----------------------------------------------------------------------
@@ -98,9 +102,9 @@ class _ErrorBox:
     """First-failure box shared by all rank threads.
 
     :meth:`set` doubles as the abort broadcast: every blocking
-    primitive (:meth:`Comm._mailbox_get`, :meth:`Comm._barrier_wait`,
-    :func:`waitany`) polls :meth:`check` while waiting, so one rank's
-    failure surfaces on every surviving rank as a typed
+    primitive (:meth:`Comm._take`, :meth:`Comm._barrier_wait`) polls
+    :meth:`check` while waiting, so one rank's failure surfaces on
+    every surviving rank as a typed
     :class:`~repro.common.errors.RankFailure` instead of a deadlock.
     """
 
@@ -265,9 +269,6 @@ class Request:
     def wait(self):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def test(self) -> tuple[bool, object]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
 
 class _DoneRequest(Request):
     """Already-complete request (buffered isend, eager iallreduce)."""
@@ -277,9 +278,6 @@ class _DoneRequest(Request):
 
     def wait(self):
         return self._value
-
-    def test(self):
-        return True, self._value
 
 
 class _RecvRequest(Request):
@@ -298,49 +296,6 @@ class _RecvRequest(Request):
                 self._source, self._tag, metered=self._metered)
             self._done = True
         return self._value
-
-    def test(self):
-        if self._done:
-            return True, self._value
-        got, value = self._comm._mailbox_poll(
-            self._source, self._tag, metered=self._metered)
-        if got:
-            self._value = value
-            self._done = True
-        return self._done, self._value
-
-
-def waitany(requests: list[Request]) -> tuple[int, object]:
-    """Block until one of *requests* completes; returns ``(index, value)``.
-
-    Completed requests must be removed/ignored by the caller (mirrors
-    ``MPI_Waitany`` with inactive handles): a request already completed by
-    an earlier :func:`waitany` is not returned twice if the caller marks
-    it — here we simply return the first incomplete-turned-complete or
-    already-complete request and leave bookkeeping to the caller, which in
-    algorithms 1–2 tracks indices explicitly.
-    """
-    if not requests:
-        raise CommunicatorError("waitany on empty request list")
-    timeout = _TIMEOUT
-    for rq in requests:
-        comm = getattr(rq, "_comm", None)
-        if comm is not None:
-            timeout = comm._ctx.timeout
-            break
-    deadline = time.monotonic() + timeout
-    while True:
-        for i, rq in enumerate(requests):
-            done, value = rq.test()
-            if done:
-                return i, value
-        if time.monotonic() > deadline:
-            # typed so fault-tolerant drivers can funnel a dropped
-            # message (nobody died, the payload is just gone) into a
-            # zero-dead communicator repair and re-send after rollback
-            raise RankFailure("waitany timed out (dropped message or "
-                              "dead peer?)", rank=-1, op="waitany")
-        time.sleep(_POLL)
 
 
 # ----------------------------------------------------------------------
@@ -470,14 +425,16 @@ class Comm:
         self._fault(op)
 
     # -- point-to-point --------------------------------------------------
-    def _mailbox(self, src: int, dst: int, tag: int) -> queue.SimpleQueue:
+    def _mailbox(self, src: int, dst: int, tag) -> queue.SimpleQueue:
         key = (src, dst, tag)
         ctx = self._ctx
-        with ctx.lock:
-            q = ctx.mailboxes.get(key)
-            if q is None:
-                q = ctx.mailboxes[key] = queue.SimpleQueue()
-            return q
+        q = ctx.mailboxes.get(key)
+        if q is None:
+            # the lock only guards creation: a lookup is one atomic
+            # dict read, and a queue, once made, is never replaced
+            with ctx.lock:
+                q = ctx.mailboxes.setdefault(key, queue.SimpleQueue())
+        return q
 
     def send(self, obj, dest: int, tag: int = 0, *,
              _metered: bool = True) -> None:
@@ -522,7 +479,9 @@ class Comm:
         self.send(obj, dest, tag)
         return _DoneRequest()
 
-    def _mailbox_get(self, source: int, tag: int, *, metered: bool = True):
+    def _take(self, source: int, tag):
+        """Block until the next message from *source* on *tag* arrives;
+        no fault point, not metered."""
         q = self._mailbox(source, self.rank, tag)
         deadline = time.monotonic() + self._ctx.timeout
         while True:
@@ -533,7 +492,7 @@ class Comm:
             self._ctx.error_box.check()
             self._ft_check(peer=source)
             try:
-                obj = q.get(timeout=self._ctx.poll)
+                return q.get(timeout=self._ctx.poll)
             except queue.Empty:
                 if time.monotonic() > deadline:
                     # report the peer's WORLD rank: failure handlers
@@ -544,26 +503,14 @@ class Comm:
                         f"(dropped message or dead peer?)",
                         rank=self._ctx.world_ranks[source], op="recv") \
                         from None
-                continue
-            if self._ctx.injector is not None:
-                obj = self._fault("recv", obj)
-            if metered:
-                self.meter.on_recv(self.world_rank, payload_bytes(obj))
-            return obj
 
-    def _mailbox_poll(self, source: int, tag: int, *, metered: bool = True):
-        self._ctx.error_box.check()
-        self._ft_check(peer=source)
-        q = self._mailbox(source, self.rank, tag)
-        try:
-            obj = q.get_nowait()
-        except queue.Empty:
-            return False, None
+    def _mailbox_get(self, source: int, tag: int, *, metered: bool = True):
+        obj = self._take(source, tag)
         if self._ctx.injector is not None:
             obj = self._fault("recv", obj)
         if metered:
             self.meter.on_recv(self.world_rank, payload_bytes(obj))
-        return True, obj
+        return obj
 
     def recv(self, source: int, tag: int = 0):
         """Blocking receive from *source*."""
@@ -615,12 +562,28 @@ class Comm:
         slots = self._exchange(obj if self.rank == root else None, "bcast")
         return slots[root]
 
+    def _rooted(self, op: str, value):
+        """Entry of a rooted collective: its own fault point, then the
+        failure checks a barrier would make.  What follows is
+        point-to-point to or from the root on the :data:`_ROOTED`
+        mailboxes — MPI's rooted-collective semantics, where non-roots
+        do not synchronise."""
+        if self._ctx.injector is not None:
+            value = self._fault(op, value)
+        self._ctx.error_box.check()
+        self._ft_check()
+        return value
+
     def gather(self, obj, root: int = 0, *, kind: str = "gather"):
         """Gather objects to *root*; returns the list on root, None elsewhere."""
         self._check_rank(root, "root")
         self._record(kind, payload_bytes(obj))
-        slots = self._exchange(obj, kind)
-        return slots if self.rank == root else None
+        obj = self._rooted(kind, obj)
+        if self.rank != root:
+            self._mailbox(self.rank, root, _ROOTED).put(obj)
+            return None
+        return [obj if r == root else self._take(r, _ROOTED)
+                for r in range(self.size)]
 
     def gatherv(self, obj, root: int = 0):
         """Variable-count gather (metered separately: scales as O(N))."""
@@ -635,8 +598,13 @@ class Comm:
             self._record(kind, payload_bytes(objs))
         else:
             self._record(kind, 0)
-        slots = self._exchange(objs if self.rank == root else None, kind)
-        return slots[root][self.rank]
+        objs = self._rooted(kind, objs if self.rank == root else None)
+        if self.rank != root:
+            return self._take(root, _ROOTED)
+        for r in range(self.size):
+            if r != root:
+                self._mailbox(root, r, _ROOTED).put(objs[r])
+        return objs[root]
 
     def scatterv(self, objs, root: int = 0):
         return self.scatter(objs, root, kind="scatterv")
@@ -854,15 +822,6 @@ class NeighborComm:
 
             def wait(self):
                 return [r.wait() for r in self._reqs]
-
-            def test(self):
-                vals = []
-                for r in self._reqs:
-                    done, v = r.test()
-                    if not done:
-                        return False, None
-                    vals.append(v)
-                return True, vals
 
         return _Agg(reqs)
 

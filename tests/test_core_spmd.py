@@ -1,11 +1,14 @@
 """Tests for the SPMD path: algorithms 1–2, distributed correction,
 SPMD GMRES and the fused p1-GMRES of §3.5."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import CoarseOperator, DeflationSpace, compute_deflation
 from repro.core.spmd import (
+    SpmdRank,
     assemble_coarse_spmd,
     build_master_comms,
     solve_spmd,
@@ -46,6 +49,28 @@ class TestMasterLayout:
 
         out = run_spmd(6, fn)
         assert sum(not x for x in out) == 2
+
+
+class TestExchange:
+    def test_sum_is_the_in_process_oracle(self, diffusion_decomposition):
+        """Whatever order the neighbour messages arrive in, every rank's
+        exchange is bitwise the in-process ``exchange_sum``."""
+        dec = diffusion_decomposition
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            x_list = [rng.standard_normal(s.size) for s in dec.subdomains]
+            delays = rng.uniform(0.0, 0.01, dec.num_subdomains)
+            ref = dec.exchange_sum(x_list)
+
+            def fn(comm):
+                rank = SpmdRank(comm=comm, dec=dec, index=comm.rank,
+                                W=None, layout=None, factor=None, T=None)
+                time.sleep(delays[comm.rank])
+                return rank.exchange(x_list[comm.rank], 0)
+
+            out = run_spmd(dec.num_subdomains, fn)
+            for i, (got, want) in enumerate(zip(out, ref)):
+                assert np.array_equal(got, want), i
 
 
 class TestDistributedAssembly:

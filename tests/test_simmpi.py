@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import CommunicatorError
-from repro.mpi import Meter, payload_bytes, run_spmd, waitany
+from repro.mpi import Meter, payload_bytes, run_spmd
 
 
 def spmd(nranks, fn, **kw):
@@ -63,10 +63,6 @@ class TestPointToPoint:
 
         with pytest.raises(CommunicatorError):
             spmd(2, fn)
-
-    def test_waitany_empty(self):
-        with pytest.raises(CommunicatorError):
-            waitany([])
 
 
 class TestCollectives:

@@ -144,14 +144,13 @@ def test_rank_factors_match_in_process_ras(monkeypatch):
     dec, space, b = build_problem(ChaosConfig(nranks=6, mesh_n=12, nev=2))
     ras = OneLevelRAS(dec)
     assert dec.is_spd and all(f.symmetric for f in ras.factorizations)
-    owner = {id(s.A_dir): s.index for s in dec.subdomains}
     seen = {spmd: [], spmd_ft: []}
     for mod, log in seen.items():
-        def spy(A, *args, _real=mod.factorize, _log=log, **kw):
-            f = _real(A, *args, **kw)
-            _log.append((owner[id(A)], f.nnz_factor))
+        def spy(dec, i, *args, _real=mod.rank_factor, _log=log, **kw):
+            f = _real(dec, i, *args, **kw)
+            _log.append((i, f.nnz_factor))
             return f
-        monkeypatch.setattr(mod, "factorize", spy)
+        monkeypatch.setattr(mod, "rank_factor", spy)
 
     plan = FaultPlan([FaultSpec("kill", "iteration", rank=3, nth=5)],
                      seed=7, timeout=2.0)
