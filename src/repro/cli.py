@@ -496,7 +496,7 @@ def make_parser() -> argparse.ArgumentParser:
                          "augmentation)")
     ps.add_argument("--backend", default="",
                     help="kernel backend for the solve-phase hot loops "
-                         "(numpy, fp32, compiled; empty = "
+                         "(numpy, compiled; empty = "
                          "$REPRO_KERNEL_BACKEND, else compiled if its "
                          "C library builds, else numpy — see "
                          "`repro backends` and docs/performance.md)")

@@ -56,7 +56,7 @@ class TwoLevelADEF1:
         coarse = self.coarse
         Y = coarse.solve(coarse.space.zt_dot_block(U))
         W = coarse.space.z_dot_block(Y)
-        V = U - coarse.kernels.spmm(coarse.AZ, Y)
+        V = U - coarse.AZ @ Y
         return self.ras.apply_block(V) + W
 
     def apply_reference(self, u: np.ndarray) -> np.ndarray:
@@ -132,7 +132,7 @@ class TwoLevelBNN:
         coarse = self.coarse
         Y = coarse.solve(coarse.space.zt_dot_block(U))
         W = coarse.space.z_dot_block(Y)
-        V = U - coarse.kernels.spmm(coarse.AZ, Y)
+        V = U - coarse.AZ @ Y
         T = self.one_level.apply_block(V)
         T = T - coarse.correction_block(self.dec.matvec_block(T))
         return T + W

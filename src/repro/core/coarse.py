@@ -190,11 +190,9 @@ class CoarseOperator:
         ``coarse_solves`` counter.
     kernels:
         Optional :class:`~repro.kernels.KernelBackend`.  The coarse
-        solve and the cached A·Z product route through it — the
-        ``fp32`` backend substitutes a probed single-precision LDLᵀ
-        mirror of E (the fp64 factorization stays as the fallback and
-        the resilience path).  When given, the deflation space's CSR
-        products are routed through the same backend.
+        solve routes through it — the ``compiled`` backend substitutes
+        a probed compiled LDLᵀ mirror of a symmetric E (the strategy's
+        factorization stays as the fallback and the resilience path).
     strategy:
         How E y = w is solved — a registry name (``"dense"``,
         ``"sparse"``, ``"multilevel"``) or a ready
@@ -212,8 +210,6 @@ class CoarseOperator:
         from ..obs.recorder import NULL_RECORDER
         self.space = space
         self.kernels = default_backend() if kernels is None else kernels
-        if kernels is not None:
-            space.kernels = self.kernels
         self.recorder = NULL_RECORDER if recorder is None else recorder
         #: the :class:`~repro.core.coarse_strategies.CoarseSolveStrategy`
         self.strategy = get_strategy(strategy)
@@ -232,7 +228,7 @@ class CoarseOperator:
         with self.recorder.span("factorize_E"):
             self.factorization = self.strategy.build(self, backend,
                                                      rank_tol)
-        #: optional reduced-precision solve routine from the kernel
+        #: optional kernel mirror of the coarse solve from the kernel
         #: backend (``None`` → use :attr:`factorization` directly;
         #: inexact strategies never get a mirror)
         self._kernel_solve = self.kernels.make_coarse_solve(self)
@@ -323,9 +319,9 @@ class CoarseOperator:
         return self._fallback_solve(w)
 
     def _fallback_solve(self, w: np.ndarray) -> np.ndarray:
-        """§resilience fallback chain, strategy-aware: drop the
-        reduced-precision kernel mirror (if one produced the garbage)
-        and retry the fp64 factorization; replace an inexact (multilevel)
+        """§resilience fallback chain, strategy-aware: drop the kernel
+        mirror (if one produced the garbage) and retry the strategy's
+        fp64 factorization; replace an inexact (multilevel)
         solve with a sparse-direct rebuild; then rebuild E's solve as a
         truncated pseudo-inverse; a still-broken solve raises
         :class:`~repro.common.errors.CoarseSolveError` so the solver can
@@ -334,8 +330,9 @@ class CoarseOperator:
             self.fallbacks += 1
             self._kernel_solve = None
             warnings.warn(
-                "reduced-precision coarse solve produced non-finite "
-                "values; dropping the kernel mirror and retrying fp64",
+                "kernel mirror of the coarse solve produced non-finite "
+                "values; dropping it and retrying fp64 on the "
+                "strategy's factorization",
                 RuntimeWarning, stacklevel=3)
             if self.recorder.enabled:
                 self.recorder.event("recovery.coarse_fallback",
@@ -404,7 +401,7 @@ class CoarseOperator:
     def az_dot(self, y: np.ndarray) -> np.ndarray:
         """A Z y via the cached :attr:`AZ` — one spmv, zero global SpMVs
         and zero overlap exchanges (the A-DEF1 fast path)."""
-        return self.kernels.spmv(self.AZ, y)
+        return self.AZ @ y
 
     def az_dot_blocks(self, y: np.ndarray) -> np.ndarray:
         """Distributed form of :meth:`az_dot`: per-subdomain gemvs

@@ -22,8 +22,8 @@ with the registry (:mod:`repro.core.coarse_strategies`):
 The object a strategy builds is a *factorization-like* handle: it
 exposes ``solve(w)`` for vectors or column blocks and ``nnz_factor``.
 Inexact handles additionally carry ``exact = False`` so the resilience
-degrade chain and the reduced-precision kernel mirrors know to treat
-them differently.
+degrade chain and the compiled kernel mirror of E know to treat them
+differently.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class CoarseSolveStrategy:
     #: registry name
     name = "abstract"
     #: True when ``build`` returns a direct (fixed linear) solve — the
-    #: reduced-precision kernel mirrors only apply to exact strategies
+    #: compiled kernel mirror of E only applies to exact strategies
     exact = True
 
     def assemble(self, space, blocks):

@@ -58,11 +58,6 @@ class MultilevelCoarseSolve:
     inner_tol:
         Inner relative-residual target (whichever of budget/tolerance
         is hit first stops the inner solve).
-    kernels:
-        Optional :class:`~repro.kernels.KernelBackend` for the inner
-        SpMVs (the inner orthogonalisation stays on the reference
-        backend so the fp32 basis mirror is not thrashed between the
-        outer and inner loops).
     """
 
     #: the solve is an inner Krylov iteration, not a fixed linear map
@@ -72,13 +67,11 @@ class MultilevelCoarseSolve:
                  neighbor_lists, *, num_parts: int | None = None,
                  nev2: int = 0, inner_iters: int = 8,
                  inner_tol: float = 1e-8, local_backend: str = "superlu",
-                 kernels=None, recorder=None, seed: int = 0):
-        from ...kernels import default_backend
+                 recorder=None, seed: int = 0):
         from ...obs.recorder import NULL_RECORDER
         from ...partition import partition_graph
         from ...solvers import factorize
         self.E = E
-        self.kernels = default_backend() if kernels is None else kernels
         self.recorder = NULL_RECORDER if recorder is None else recorder
         #: optional :class:`~repro.resilience.FaultInjector`; fires the
         #: ``coarse_level2`` op on every inner solve output (installed
@@ -199,7 +192,7 @@ class MultilevelCoarseSolve:
 
     def _solve_one(self, w: np.ndarray) -> np.ndarray:
         from ...krylov import fgmres
-        E_mul = (lambda x: self.kernels.spmv(self.E, x))
+        E_mul = (lambda x: self.E @ x)
         res = fgmres(E_mul, w, M=self._apply_m2, tol=self.inner_tol,
                      restart=self.inner_iters, maxiter=self.inner_iters)
         self.inner_iterations += res.iterations
@@ -247,7 +240,7 @@ class MultilevelStrategy(CoarseSolveStrategy):
                 coarse.E, space.offsets, neighbor_lists,
                 num_parts=self.num_parts, nev2=self.nev2,
                 inner_iters=self.inner_iters, inner_tol=self.inner_tol,
-                local_backend=self.local_backend, kernels=coarse.kernels,
+                local_backend=self.local_backend,
                 recorder=coarse.recorder, seed=self.seed)
         except Exception:  # noqa: BLE001 - tiny/singular E → direct
             # too few subdomains for a second level, or a local block

@@ -24,15 +24,14 @@ class DeflationSpace:
     """Per-subdomain deflation blocks W_i and the implicit Z operations.
 
     The assembled-CSR products (``zt_dot``/``z_dot`` and their block
-    forms) route through a :class:`~repro.kernels.KernelBackend` —
-    the reference ``numpy`` backend performs the identical spmv; the
-    ``fp32`` backend substitutes cached single-precision mirrors.
+    forms) are plain scipy spmv/csrmm.  The keyword-only *kernels* is
+    accepted for callers that pass their kernel backend to every
+    component; no product of the space depends on it, and nothing reads
+    it back.
     """
 
     def __init__(self, dec: Decomposition, W_blocks: list[np.ndarray],
                  *, kernels=None):
-        from ..kernels import default_backend
-        self.kernels = default_backend() if kernels is None else kernels
         if len(W_blocks) != dec.num_subdomains:
             raise DecompositionError(
                 f"expected {dec.num_subdomains} W blocks, got {len(W_blocks)}")
@@ -87,14 +86,14 @@ class DeflationSpace:
     # ------------------------------------------------------------------
     def zt_dot(self, u: np.ndarray) -> np.ndarray:
         """w = Zᵀu (§3.2 step 1) — one spmv with the cached Zᵀ."""
-        return self.kernels.spmv(self.Zt, u)
+        return self.Zt @ u
 
     def z_dot(self, y: np.ndarray) -> np.ndarray:
         """z = Zy (§3.2 step 3) — one spmv with the cached Z."""
         if y.shape != (self.m,):
             raise DecompositionError(
                 f"coarse vector must have shape ({self.m},), got {y.shape}")
-        return self.kernels.spmv(self.Z, y)
+        return self.Z @ y
 
     # ------------------------------------------------------------------
     # Multi-RHS (column-block) forms — one csrmm instead of k csrmvs
@@ -102,7 +101,7 @@ class DeflationSpace:
     def zt_dot_block(self, U: np.ndarray) -> np.ndarray:
         """W = Zᵀ U for a column block ``U (n_free, k)`` — one csrmm."""
         U = as_float64_block(U, "zt_dot_block", DecompositionError)
-        return self.kernels.spmm(self.Zt, U)
+        return self.Zt @ U
 
     def z_dot_block(self, Y: np.ndarray) -> np.ndarray:
         """Z Y for a coarse column block ``Y (m, k)`` — one csrmm."""
@@ -112,7 +111,7 @@ class DeflationSpace:
                 f"coarse block must have shape ({self.m}, k), "
                 f"got {Y.shape}")
         Y = as_float64_block(Y, "z_dot_block", DecompositionError)
-        return self.kernels.spmm(self.Z, Y)
+        return self.Z @ Y
 
     # ------------------------------------------------------------------
     # Per-block (distributed) forms — the SPMD semantics and the

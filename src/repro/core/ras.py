@@ -61,7 +61,6 @@ class OneLevelRAS:
         #: unweighted ASM variant, which keep the legacy path
         self._fused = self.kernels.fuse_ras(
             self.factorizations, dec.subdomains) if self.weighted else None
-        self._nlocal = int(sum(s.size for s in dec.subdomains))
 
     def disable(self, i: int) -> None:
         """Replace subdomain *i*'s exact local solve by a Jacobi
@@ -85,7 +84,7 @@ class OneLevelRAS:
         partition-of-unity combination walks subdomains in submission
         order, so the result is bitwise independent of the executor.
 
-        With a fused kernel backend (fp32/compiled), a serial executor
+        With a fused kernel backend (``compiled``), a serial executor
         and no resilience machinery armed, the whole application runs
         as N fused gather→solve→scatter passes with no intermediate
         local vectors; any injector, disabled subdomain or parallel
@@ -101,7 +100,6 @@ class OneLevelRAS:
             out = np.zeros(self.dec.problem.num_free)
             for h in self._fused:
                 h.apply_weighted(r, out)
-            self.kernels.note_ras_apply(self._nlocal)
             return out
 
         def local_solve(i: int) -> np.ndarray:
@@ -135,7 +133,6 @@ class OneLevelRAS:
             out = np.zeros((self.dec.problem.num_free, R.shape[1]))
             for h in self._fused:
                 h.apply_weighted_block(R, out)
-            self.kernels.note_ras_apply(self._nlocal, columns=R.shape[1])
             return out
 
         def local_solve(i: int) -> np.ndarray:

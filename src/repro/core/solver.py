@@ -155,14 +155,13 @@ class SchwarzSolver:
         string ``"off"``/``"restart"``/``"degrade"``) used by
         :meth:`solve`; see ``docs/resilience.md``.
     kernel_backend:
-        Kernel backend name (``"numpy"``, ``"fp32"``, ``"compiled"``) or
-        a ready :class:`~repro.kernels.KernelBackend` instance.  ``None``
+        Kernel backend name (``"numpy"``, ``"compiled"``) or a ready
+        :class:`~repro.kernels.KernelBackend` instance.  ``None``
         resolves ``REPRO_KERNEL_BACKEND``, then ``"compiled"`` when its
         C kernel library builds, else the reference ``numpy`` backend.
         Owns the hot kernels of the solve phase: local/coarse
-        triangular solves, the fused RAS apply, the CSR deflation
-        products and the Krylov orthogonalisation — see
-        ``docs/performance.md``.  (This is distinct from *backend* /
+        triangular solves, the fused RAS apply and the Krylov
+        orthogonalisation — see ``docs/performance.md``.  (This is distinct from *backend* /
         *coarse_backend*, which pick the sparse factorization method.)
     coarse_strategy:
         How the coarse problem E y = w is solved — a registry name
@@ -327,8 +326,7 @@ class SchwarzSolver:
                     recorder=self.recorder, label="geneo")
                 self.geneo_results = results
                 self.deflation = DeflationSpace(
-                    self.decomposition, [r.W for r in results],
-                    kernels=self.kernels)
+                    self.decomposition, [r.W for r in results])
             with self.timer.phase("coarse"):
                 self.coarse = CoarseOperator(self.deflation,
                                              backend=coarse_backend,

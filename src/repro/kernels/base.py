@@ -2,14 +2,14 @@
 
 This class owns the hot kernels that used to be inlined across the
 stack — Gram–Schmidt orthogonalisation (vector MGS and blocked CGS2),
-the RAS local-solve scatter/gather, the CSR deflation products, the
-local factorizations and the overlap exchange — and performs **exactly
+the RAS local-solve scatter/gather, the local factorizations, the
+coarse solve and the overlap exchange — and performs **exactly
 the operations the inlined code performed, in the same order**
 (pinned by the regression tests in ``tests/test_kernels.py``).  The
 one deliberate departure from the pre-registry arithmetic: local
 matrices declared SPD are factorised as symmetric-mode LDLᵀ, not LU.
 
-Subclasses (:mod:`.fp32`, :mod:`.compiled`) override individual kernels;
+Subclasses (:mod:`.compiled`) override individual kernels;
 anything not overridden inherits the reference semantics, which is what
 makes capability-based degradation safe.
 """
@@ -25,7 +25,7 @@ class KernelBackend:
     """Reference (fp64 numpy/scipy) implementations of the hot kernels."""
 
     name = "numpy"
-    #: arithmetic of the local/coarse applies and orthogonalisation scratch
+    #: arithmetic of the local/coarse applies and orthogonalisation
     precision = "fp64"
     #: whether this backend uses the compiled kernel library
     compiled = False
@@ -95,29 +95,18 @@ class KernelBackend:
         path *is* the reference)."""
         return None
 
-    def note_ras_apply(self, total_local_dofs: int,
-                       columns: int = 1) -> None:
-        """Round-trip accounting hook for the fused RAS path."""
-
     # ------------------------------------------------------------------
-    # Coarse solve and CSR products
+    # Coarse solve
     # ------------------------------------------------------------------
     def make_coarse_solve(self, coarse):
-        """A reduced-precision coarse solve routine for *coarse* (a
+        """A kernel mirror of the coarse solve for *coarse* (a
         :class:`~repro.core.coarse.CoarseOperator`), or ``None`` to use
-        its fp64 factorization directly.  Implementations must return
-        ``None`` when ``coarse.strategy`` is inexact (``exact=False``,
-        e.g. the multilevel strategy) — the solve handle is then an
-        inner iteration, not a factorization a mirror could replace."""
+        its strategy's factorization directly.  Implementations must
+        return ``None`` when ``coarse.strategy`` is inexact
+        (``exact=False``, e.g. the multilevel strategy) — the solve
+        handle is then an inner iteration, not a factorization a mirror
+        could replace."""
         return None
-
-    def spmv(self, A, x: np.ndarray) -> np.ndarray:
-        """Sparse matrix–vector product (Zᵀu, Zy, AZy, …)."""
-        return A @ x
-
-    def spmm(self, A, X: np.ndarray) -> np.ndarray:
-        """Sparse matrix × column-block product."""
-        return A @ X
 
     # ------------------------------------------------------------------
     # Overlap exchange

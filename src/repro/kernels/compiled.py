@@ -6,7 +6,8 @@ reference backend, whose local factors are the same SuperLU factors
 the others) — but each local factor is exported once to raw CSC arrays
 and the SuperLU object dropped, the RAS local solves apply it through
 the compiled C kernels with fused permutation/gather/scatter, and the
-coarse solve of an SPD E runs through the same compiled path.
+coarse solve of a symmetric E runs through the same compiled LDLᵀ
+(:func:`make_ldl_coarse_solve`).
 
 This backend is only constructible when the kernel library builds (a C
 toolchain on the host).  It is then the default of
@@ -18,10 +19,10 @@ native bridges.
 
 from __future__ import annotations
 
-import numpy as np
 import scipy.sparse as sp
 
 from ..common.errors import SolverError, SymmetryError
+from ..common.validation import matrix_is_symmetric
 from ..solvers.local import factorize
 from .base import KernelBackend
 from .csrc import load_library
@@ -32,12 +33,53 @@ from .factor import (
     SymmetricLDLFactorization,
     probe_factorization,
 )
-from .fp32 import make_ldl_coarse_solve
 
 #: an fp64 LDLᵀ of an SPD matrix or a pivoted LU should be near machine
 #: precision; a loose miss means the exported factor is not to be trusted
 #: (symmetric no-pivot mode was the wrong tool, or the export is broken)
 LOCAL_PROBE_TOL = 1e-8
+
+
+def make_ldl_coarse_solve(backend, coarse):
+    """A compiled LDLᵀ solve routine mirroring a
+    :class:`~repro.core.coarse.CoarseOperator`'s E, or ``None`` when E
+    is rank-deficient, the coarse strategy is inexact, E is
+    nonsymmetric, the factorization fails, or the probe rejects it (the
+    caller then keeps its own solve path).  Inexact strategies
+    (multilevel) never get a mirror: their handle is an inner iteration
+    on E, not a triangular solve that an LDLᵀ of E could substitute
+    for."""
+    if coarse.rank_deficient:
+        return None
+    if not getattr(coarse.strategy, "exact", True):
+        return None
+    if not matrix_is_symmetric(coarse.E):
+        # nonsymmetric E must never reach SuperLU symmetric mode — the
+        # no-pivot LDLᵀ would be structurally wrong.  The caller keeps
+        # its own (general LU) coarse solve path.
+        backend.notes.append(
+            "coarse operator E is nonsymmetric; LDL mirror skipped, "
+            "coarse solve stays on the general-LU path")
+        return None
+    try:
+        fact = SymmetricLDLFactorization(coarse.E, lib=backend._lib)
+    except SolverError:
+        return None
+    if not probe_factorization(fact, coarse.E, LOCAL_PROBE_TOL):
+        backend.notes.append(
+            "coarse LDL probe failed; coarse solve stays on the "
+            "strategy's factorization")
+        if backend.recorder.enabled:
+            backend.recorder.add("kernel.compiled_fallbacks", 1)
+        return None
+    rec = backend.recorder
+
+    def kernel_solve(w):
+        if rec.enabled:
+            rec.add("kernel.compiled_coarse_solves", 1)
+        return fact.solve(w)
+
+    return kernel_solve
 
 
 class CompiledBackend(KernelBackend):
@@ -69,8 +111,7 @@ class CompiledBackend(KernelBackend):
             A = (sp.csr_matrix(A)
                  + shift * sp.eye(A.shape[0], format="csr"))
         try:
-            fact = (SymmetricLDLFactorization(A, dtype=np.float64,
-                                              lib=self._lib) if spd
+            fact = (SymmetricLDLFactorization(A, lib=self._lib) if spd
                     else ExportedLUFactorization(A, lib=self._lib))
             if probe_factorization(fact, A, LOCAL_PROBE_TOL):
                 return fact
@@ -85,18 +126,11 @@ class CompiledBackend(KernelBackend):
         handles = []
         for fact, s in zip(factorizations, subdomains):
             if isinstance(fact, (SymmetricLDLFactorization,
-                                 ExportedLUFactorization)) \
-                    and fact._lib is not None:
+                                 ExportedLUFactorization)):
                 handles.append(FusedLocalApply(fact, s.dofs, s.d))
             else:
                 handles.append(PlainLocalApply(fact, s.dofs, s.d))
         return handles
 
-    def note_ras_apply(self, total_local_dofs: int,
-                       columns: int = 1) -> None:
-        if self.recorder.enabled:
-            self.recorder.add("kernel.compiled_local_applies", columns)
-
     def make_coarse_solve(self, coarse):
-        return make_ldl_coarse_solve(self, coarse, np.float64,
-                                     LOCAL_PROBE_TOL)
+        return make_ldl_coarse_solve(self, coarse)

@@ -31,27 +31,6 @@ _SOURCE = r"""
    dinv: x <- L^-T D^-1 L^-1 x, in place.  The backward sweep reads the
    same CSC arrays as a CSR view of L^T, so the factor is stored once. */
 
-void ldl_solve_f32(const int32_t *indptr, const int32_t *rowind,
-                   const float *lval, const float *dinv,
-                   float *x, int32_t n) {
-    int32_t j, p;
-    for (j = 0; j < n; ++j) {
-        const int32_t p0 = indptr[j], p1 = indptr[j + 1];
-        const float xj = x[j] / lval[p0];
-        x[j] = xj;
-        for (p = p0 + 1; p < p1; ++p)
-            x[rowind[p]] -= lval[p] * xj;
-    }
-    for (j = 0; j < n; ++j) x[j] *= dinv[j];
-    for (j = n - 1; j >= 0; --j) {
-        const int32_t p0 = indptr[j], p1 = indptr[j + 1];
-        float acc = x[j];
-        for (p = p0 + 1; p < p1; ++p)
-            acc -= lval[p] * x[rowind[p]];
-        x[j] = acc / lval[p0];
-    }
-}
-
 void ldl_solve_f64(const int32_t *indptr, const int32_t *rowind,
                    const double *lval, const double *dinv,
                    double *x, int32_t n) {
@@ -123,27 +102,14 @@ void lu_solve_block_f64(const int32_t *lp, const int32_t *li,
     }
 }
 
-/* dst[k] = (cast) src[idx[k]] — fused permutation gather + downcast */
-void gather_cast_f32(const double *src, const int64_t *idx,
-                     float *dst, int32_t n) {
-    int32_t k;
-    for (k = 0; k < n; ++k) dst[k] = (float) src[idx[k]];
-}
-
+/* dst[k] = src[idx[k]] — fused permutation gather */
 void gather_f64(const double *src, const int64_t *idx,
                 double *dst, int32_t n) {
     int32_t k;
     for (k = 0; k < n; ++k) dst[k] = src[idx[k]];
 }
 
-/* out[idx[k]] += d[k] * z[k] — fused weight + scatter-accumulate
-   (upcasting back to the fp64 global vector for the f32 variant) */
-void scatter_add_f32(double *out, const int64_t *idx, const double *d,
-                     const float *z, int32_t n) {
-    int32_t k;
-    for (k = 0; k < n; ++k) out[idx[k]] += d[k] * (double) z[k];
-}
-
+/* out[idx[k]] += d[k] * z[k] — fused weight + scatter-accumulate */
 void scatter_add_f64(double *out, const int64_t *idx, const double *d,
                      const double *z, int32_t n) {
     int32_t k;
@@ -153,52 +119,50 @@ void scatter_add_f64(double *out, const int64_t *idx, const double *d,
 /* Block variants over m right-hand sides stored row-major (the m values
    of one row contiguous): one sweep over L serves every column, and
    each column sees exactly the operations of the vector kernels. */
-#define BLOCK_KERNELS(SFX, T)                                             \
-void ldl_solve_block_##SFX(const int32_t *indptr, const int32_t *rowind, \
-                           const T *lval, const T *dinv,                 \
-                           T *x, int32_t n, int32_t m) {                 \
-    int32_t j, p, c;                                                     \
-    for (j = 0; j < n; ++j) {                                            \
-        const int32_t p0 = indptr[j], p1 = indptr[j + 1];               \
-        T *xj = x + (int64_t) j * m;                                     \
-        for (c = 0; c < m; ++c) xj[c] = xj[c] / lval[p0];                \
-        for (p = p0 + 1; p < p1; ++p) {                                  \
-            T *xi = x + (int64_t) rowind[p] * m;                         \
-            const T l = lval[p];                                         \
-            for (c = 0; c < m; ++c) xi[c] -= l * xj[c];                  \
-        }                                                                \
-    }                                                                    \
-    for (j = 0; j < n; ++j)                                              \
-        for (c = 0; c < m; ++c) x[(int64_t) j * m + c] *= dinv[j];       \
-    for (j = n - 1; j >= 0; --j) {                                       \
-        const int32_t p0 = indptr[j], p1 = indptr[j + 1];               \
-        T *xj = x + (int64_t) j * m;                                     \
-        for (p = p0 + 1; p < p1; ++p) {                                  \
-            const T *xi = x + (int64_t) rowind[p] * m;                   \
-            const T l = lval[p];                                         \
-            for (c = 0; c < m; ++c) xj[c] -= l * xi[c];                  \
-        }                                                                \
-        for (c = 0; c < m; ++c) xj[c] = xj[c] / lval[p0];                \
-    }                                                                    \
-}                                                                        \
-void gather_block_##SFX(const double *src, const int64_t *idx,          \
-                        T *dst, int32_t n, int32_t m) {                  \
-    int32_t k, c;                                                        \
-    for (k = 0; k < n; ++k)                                              \
-        for (c = 0; c < m; ++c)                                          \
-            dst[(int64_t) k * m + c] = (T) src[idx[k] * m + c];          \
-}                                                                        \
-void scatter_add_block_##SFX(double *out, const int64_t *idx,           \
-                             const double *d, const T *z,                \
-                             int32_t n, int32_t m) {                     \
-    int32_t k, c;                                                        \
-    for (k = 0; k < n; ++k)                                              \
-        for (c = 0; c < m; ++c)                                          \
-            out[idx[k] * m + c] += d[k] * (double) z[(int64_t) k * m + c]; \
+void ldl_solve_block_f64(const int32_t *indptr, const int32_t *rowind,
+                         const double *lval, const double *dinv,
+                         double *x, int32_t n, int32_t m) {
+    int32_t j, p, c;
+    for (j = 0; j < n; ++j) {
+        const int32_t p0 = indptr[j], p1 = indptr[j + 1];
+        double *xj = x + (int64_t) j * m;
+        for (c = 0; c < m; ++c) xj[c] = xj[c] / lval[p0];
+        for (p = p0 + 1; p < p1; ++p) {
+            double *xi = x + (int64_t) rowind[p] * m;
+            const double l = lval[p];
+            for (c = 0; c < m; ++c) xi[c] -= l * xj[c];
+        }
+    }
+    for (j = 0; j < n; ++j)
+        for (c = 0; c < m; ++c) x[(int64_t) j * m + c] *= dinv[j];
+    for (j = n - 1; j >= 0; --j) {
+        const int32_t p0 = indptr[j], p1 = indptr[j + 1];
+        double *xj = x + (int64_t) j * m;
+        for (p = p0 + 1; p < p1; ++p) {
+            const double *xi = x + (int64_t) rowind[p] * m;
+            const double l = lval[p];
+            for (c = 0; c < m; ++c) xj[c] -= l * xi[c];
+        }
+        for (c = 0; c < m; ++c) xj[c] = xj[c] / lval[p0];
+    }
 }
 
-BLOCK_KERNELS(f32, float)
-BLOCK_KERNELS(f64, double)
+void gather_block_f64(const double *src, const int64_t *idx,
+                      double *dst, int32_t n, int32_t m) {
+    int32_t k, c;
+    for (k = 0; k < n; ++k)
+        for (c = 0; c < m; ++c)
+            dst[(int64_t) k * m + c] = src[idx[k] * m + c];
+}
+
+void scatter_add_block_f64(double *out, const int64_t *idx,
+                           const double *d, const double *z,
+                           int32_t n, int32_t m) {
+    int32_t k, c;
+    for (k = 0; k < n; ++k)
+        for (c = 0; c < m; ++c)
+            out[idx[k] * m + c] += d[k] * z[(int64_t) k * m + c];
+}
 """
 
 _CFLAGS = ["-O3", "-fPIC", "-shared"]
@@ -232,33 +196,24 @@ def _source_tag(compiler: str) -> str:
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     p = ctypes.POINTER
-    i32, i64, f32, f64 = (ctypes.c_int32, ctypes.c_int64,
-                          ctypes.c_float, ctypes.c_double)
-    lib.ldl_solve_f32.argtypes = [p(i32), p(i32), p(f32), p(f32),
-                                  p(f32), i32]
+    i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
     lib.ldl_solve_f64.argtypes = [p(i32), p(i32), p(f64), p(f64),
                                   p(f64), i32]
+    lib.ldl_solve_block_f64.argtypes = [p(i32), p(i32), p(f64), p(f64),
+                                        p(f64), i32, i32]
     lib.lu_solve_f64.argtypes = [p(i32), p(i32), p(f64), p(i32), p(i32),
                                  p(f64), p(f64), i32]
     lib.lu_solve_block_f64.argtypes = [p(i32), p(i32), p(f64), p(i32),
                                        p(i32), p(f64), p(f64), i32, i32]
-    lib.gather_cast_f32.argtypes = [p(f64), p(i64), p(f32), i32]
     lib.gather_f64.argtypes = [p(f64), p(i64), p(f64), i32]
-    lib.scatter_add_f32.argtypes = [p(f64), p(i64), p(f64), p(f32), i32]
+    lib.gather_block_f64.argtypes = [p(f64), p(i64), p(f64), i32, i32]
     lib.scatter_add_f64.argtypes = [p(f64), p(i64), p(f64), p(f64), i32]
-    for sfx, val in (("f32", f32), ("f64", f64)):
-        getattr(lib, f"ldl_solve_block_{sfx}").argtypes = [
-            p(i32), p(i32), p(val), p(val), p(val), i32, i32]
-        getattr(lib, f"gather_block_{sfx}").argtypes = [
-            p(f64), p(i64), p(val), i32, i32]
-        getattr(lib, f"scatter_add_block_{sfx}").argtypes = [
-            p(f64), p(i64), p(f64), p(val), i32, i32]
-    for fn in (lib.ldl_solve_f32, lib.ldl_solve_f64, lib.lu_solve_f64,
-               lib.lu_solve_block_f64, lib.gather_cast_f32,
-               lib.gather_f64, lib.scatter_add_f32, lib.scatter_add_f64,
-               lib.ldl_solve_block_f32, lib.ldl_solve_block_f64,
-               lib.gather_block_f32, lib.gather_block_f64,
-               lib.scatter_add_block_f32, lib.scatter_add_block_f64):
+    lib.scatter_add_block_f64.argtypes = [p(f64), p(i64), p(f64), p(f64),
+                                          i32, i32]
+    for fn in (lib.ldl_solve_f64, lib.ldl_solve_block_f64,
+               lib.lu_solve_f64, lib.lu_solve_block_f64,
+               lib.gather_f64, lib.gather_block_f64,
+               lib.scatter_add_f64, lib.scatter_add_block_f64):
         fn.restype = None
     return lib
 

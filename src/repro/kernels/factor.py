@@ -1,7 +1,7 @@
 """Exported local factorizations and fused RAS apply handles.
 
 The paper's local solves are "factorise once, apply thousands of times".
-The compiled and mixed-precision backends exploit two structural facts:
+The ``compiled`` backend exploits two structural facts:
 
 * every FEM local matrix has a symmetric sparsity pattern, so SuperLU
   orders it by minimum degree on ``Aᵀ + A`` — in **symmetric mode**
@@ -13,9 +13,9 @@ The compiled and mixed-precision backends exploit two structural facts:
 * the factor can be exported to raw CSC arrays once and re-applied by a
   tight compiled loop (:mod:`.csrc`), fusing the permutations into
   precomputed gather/scatter index arrays: L plus D⁻¹ for an LDLᵀ
-  (:class:`SymmetricLDLFactorization`, fp32 or fp64), L and U for an LU
-  (:class:`ExportedLUFactorization`, fp64).  Exporting drops SuperLU's
-  supernodal storage, which holds explicit zeros.
+  (:class:`SymmetricLDLFactorization`), L and U for an LU
+  (:class:`ExportedLUFactorization`), all in fp64.  Exporting drops
+  SuperLU's supernodal storage, which holds explicit zeros.
 
 An exported factor is validated by a probe solve before it is trusted
 (:func:`probe_factorization`); callers fall back to the reference fp64
@@ -36,33 +36,32 @@ from ..solvers.local import (SYMMETRIC_OPTIONS, Factorization,
                              _probably_symmetric, splu_general)
 
 
-def _ptr(arr: np.ndarray, ctype):
+def _ptr(arr: np.ndarray, ctype=ct.c_double):
     return arr.ctypes.data_as(ct.POINTER(ctype))
 
 
 class _ExportedFactor(Factorization):
     """A factor held as raw arrays and applied by one compiled in-place
     pass: ``z = b[piv_in]``, solve on *z*, ``x[piv_out] = z``.
-    Subclasses set ``piv_in``/``piv_out``, ``dtype``/``value_ct``, the
-    kernels ``_solve_fn``/``_solve_block_fn`` and their leading
-    ``_args`` (the factor arrays)."""
+    Subclasses set ``piv_in``/``piv_out``, the kernels
+    ``_solve_fn``/``_solve_block_fn`` and their leading ``_args`` (the
+    factor arrays)."""
 
     def solve_permuted_inplace(self, z: np.ndarray) -> None:
         """In-place solve of the already-permuted workspace *z*
         (``z = b[piv_in]`` on entry, ``x[piv_out]`` on exit)."""
-        self._solve_fn(*self._args, _ptr(z, self.value_ct),
-                       ct.c_int32(self.n))
+        self._solve_fn(*self._args, _ptr(z), ct.c_int32(self.n))
 
     def solve_block_permuted_inplace(self, Z: np.ndarray) -> None:
         """:meth:`solve_permuted_inplace` for a C-contiguous ``(n, m)``
         block: one sweep over the factor for all *m* columns, each
         column bitwise equal to its vector solve."""
-        self._solve_block_fn(*self._args, _ptr(Z, self.value_ct),
-                             ct.c_int32(self.n), ct.c_int32(Z.shape[1]))
+        self._solve_block_fn(*self._args, _ptr(Z), ct.c_int32(self.n),
+                             ct.c_int32(Z.shape[1]))
 
     def solve(self, b):
         b = np.asarray(b, dtype=np.float64)
-        z = np.ascontiguousarray(b[self.piv_in], dtype=self.dtype)
+        z = np.ascontiguousarray(b[self.piv_in])
         if b.ndim == 1:
             self.solve_permuted_inplace(z)
         else:
@@ -75,19 +74,14 @@ class _ExportedFactor(Factorization):
 class SymmetricLDLFactorization(_ExportedFactor):
     """Symmetric-mode SuperLU factor exported to raw LDLᵀ-solve arrays.
 
-    With ``lib`` (the compiled kernel library) the factor L is stored
-    once as CSC arrays — diagonal entry first per column, so the same
-    arrays serve the forward sweep and, read as CSR of Lᵀ, the backward
-    sweep — and every solve is one compiled in-place pass in *dtype*
-    precision.  Without ``lib`` the matrix is refactorised by scipy in
-    *dtype* directly (still reduced-precision arithmetic, scipy-driven).
-
-    ``solve`` keeps the public fp64-in/fp64-out contract of every other
-    :class:`~repro.solvers.local.Factorization` backend; the fused RAS
-    handles below bypass it and work on the raw arrays.
+    The factor L is stored once as CSC arrays — diagonal entry first per
+    column, so the same arrays serve the forward sweep and, read as CSR
+    of Lᵀ, the backward sweep — together with D⁻¹, the SuperLU object
+    is dropped, and every solve is one compiled in-place pass
+    (``ldl_solve_f64``) over *lib*, the compiled kernel library.
     """
 
-    def __init__(self, A, dtype=np.float32, lib=None):
+    def __init__(self, A, lib=None):
         A = sp.csc_matrix(A)
         if A.shape[0] != A.shape[1]:
             raise SolverError(f"matrix must be square, got {A.shape}")
@@ -100,71 +94,46 @@ class SymmetricLDLFactorization(_ExportedFactor):
                 "SymmetricLDLFactorization requires a symmetric matrix; "
                 "use the general-mode LU (repro.solvers.factorize) for "
                 "nonsymmetric operators")
+        if lib is None:
+            raise SolverError("SymmetricLDLFactorization needs the "
+                              "compiled kernel library")
         self.n = A.shape[0]
-        self.dtype = np.dtype(dtype)
         self._lib = lib
-        if lib is not None:
-            # factorise in fp64 (stable), cast the factor to the target
-            # precision — more accurate than factorising in fp32
-            try:
-                lu = spla.splu(A, **SYMMETRIC_OPTIONS)
-            except RuntimeError as exc:
-                raise SolverError(
-                    f"symmetric-mode factorization failed: {exc}") from exc
-            L = lu.L
-            # the kernels need the diagonal first in every column, which
-            # is how SuperLU emits L; a full sort would cost a fifth of
-            # the factorization
-            if not np.array_equal(L.indices[L.indptr[:-1]],
-                                  np.arange(self.n)):
-                L.sort_indices()
-            self.piv_in = self.piv_out = \
-                np.argsort(lu.perm_r).astype(np.int64)
-            self.indptr = np.ascontiguousarray(L.indptr, dtype=np.int32)
-            self.rowind = np.ascontiguousarray(L.indices, dtype=np.int32)
-            self.lval = np.ascontiguousarray(L.data, dtype=self.dtype)
-            self.dinv = np.ascontiguousarray(1.0 / lu.U.diagonal(),
-                                             dtype=self.dtype)
-            self.nnz_factor = int(L.nnz) + self.n
-            sfx = "f32" if self.dtype == np.float32 else "f64"
-            self._solve_fn = getattr(lib, f"ldl_solve_{sfx}")
-            self._solve_block_fn = getattr(lib, f"ldl_solve_block_{sfx}")
-            self.value_ct = ct.c_float if self.dtype == np.float32 \
-                else ct.c_double
-            self._args = (_ptr(self.indptr, ct.c_int32),
-                          _ptr(self.rowind, ct.c_int32),
-                          _ptr(self.lval, self.value_ct),
-                          _ptr(self.dinv, self.value_ct))
-        else:
-            try:
-                self._lu = spla.splu(A.astype(self.dtype),
-                                     **SYMMETRIC_OPTIONS)
-            except RuntimeError as exc:
-                raise SolverError(
-                    f"symmetric-mode factorization failed: {exc}") from exc
-            self.nnz_factor = int(self._lu.L.nnz + self._lu.U.nnz)
-
-    def solve(self, b):
-        if self._lib is not None:
-            return super().solve(b)
-        b = np.asarray(b, dtype=np.float64)
-        out = self._lu.solve(np.ascontiguousarray(b, dtype=self.dtype))
-        return np.asarray(out, dtype=np.float64)
+        try:
+            lu = spla.splu(A, **SYMMETRIC_OPTIONS)
+        except RuntimeError as exc:
+            raise SolverError(
+                f"symmetric-mode factorization failed: {exc}") from exc
+        L = lu.L
+        # the kernels need the diagonal first in every column, which is
+        # how SuperLU emits L; a full sort would cost a fifth of the
+        # factorization
+        if not np.array_equal(L.indices[L.indptr[:-1]], np.arange(self.n)):
+            L.sort_indices()
+        self.piv_in = self.piv_out = np.argsort(lu.perm_r).astype(np.int64)
+        self.indptr = np.ascontiguousarray(L.indptr, dtype=np.int32)
+        self.rowind = np.ascontiguousarray(L.indices, dtype=np.int32)
+        self.lval = np.ascontiguousarray(L.data, dtype=np.float64)
+        self.dinv = np.ascontiguousarray(1.0 / lu.U.diagonal())
+        self.nnz_factor = int(L.nnz) + self.n
+        self._solve_fn = lib.ldl_solve_f64
+        self._solve_block_fn = lib.ldl_solve_block_f64
+        self._args = (_ptr(self.indptr, ct.c_int32),
+                      _ptr(self.rowind, ct.c_int32),
+                      _ptr(self.lval), _ptr(self.dinv))
 
 
 class ExportedLUFactorization(_ExportedFactor):
-    """General-mode SuperLU LU exported to raw CSC arrays (fp64).
+    """General-mode SuperLU LU exported to raw CSC arrays.
 
     The factor of :func:`~repro.solvers.local.splu_general` (``Pr A Pc
     = L U``, ordered on ``Aᵀ + A``) is stored once as int32 CSC ``L`` —
     unit diagonal first in every column — and ``U`` — diagonal last —
     with ``Pr`` folded into the gather and ``Pc`` into the scatter, and
-    the SuperLU object is dropped.  Every solve is one compiled forward + backward pass
-    (``lu_solve_f64``) over *lib*, the compiled kernel library.
+    the SuperLU object is dropped.  Every solve is one compiled forward
+    + backward pass (``lu_solve_f64``) over *lib*, the compiled kernel
+    library.
     """
-
-    dtype = np.dtype(np.float64)
-    value_ct = ct.c_double
 
     def __init__(self, A, lib):
         A = sp.csc_matrix(A)
@@ -193,10 +162,10 @@ class ExportedLUFactorization(_ExportedFactor):
         self.u_indptr = np.ascontiguousarray(U.indptr, dtype=np.int32)
         self.u_rowind = np.ascontiguousarray(U.indices, dtype=np.int32)
         self.uval = np.ascontiguousarray(U.data, dtype=np.float64)
-        i32, f64 = ct.c_int32, ct.c_double
+        i32 = ct.c_int32
         self._args = (_ptr(self.l_indptr, i32), _ptr(self.l_rowind, i32),
-                      _ptr(self.lval, f64), _ptr(self.u_indptr, i32),
-                      _ptr(self.u_rowind, i32), _ptr(self.uval, f64))
+                      _ptr(self.lval), _ptr(self.u_indptr, i32),
+                      _ptr(self.u_rowind, i32), _ptr(self.uval))
         self._solve_fn = lib.lu_solve_f64
         self._solve_block_fn = lib.lu_solve_block_f64
 
@@ -210,8 +179,9 @@ def _lu_layout_ok(L: sp.csc_matrix, U: sp.csc_matrix) -> bool:
 def probe_factorization(fact, A, tol: float) -> bool:
     """One deterministic solve against a random right-hand side: accept
     the factorization iff the relative residual is within *tol*.  The
-    guard that keeps a reduced-precision (or otherwise approximate)
-    factor from silently corrupting the preconditioner."""
+    guard that keeps a wrong exported factor (symmetric no-pivot mode
+    on the wrong matrix, a broken export) from silently corrupting the
+    preconditioner."""
     rng = np.random.default_rng(0)
     b = rng.standard_normal(A.shape[0])
     try:
@@ -234,10 +204,10 @@ class FusedLocalApply:
     Precomputes ``dofs[piv_in]``, ``dofs[piv_out]`` and ``d[piv_out]``
     so the permutations of the exported solve (one for an LDLᵀ, row and
     column for an LU) are folded into the global gather/scatter index
-    arrays: ``apply_weighted`` reads the fp64 global residual, casts
-    into the dtype workspace, solves in place, and scatter-accumulates
-    ``D_i · x_i`` back into the fp64 output — no intermediate local
-    vectors, no separate permutation step.
+    arrays: ``apply_weighted`` gathers the global residual into its
+    workspace, solves in place, and scatter-accumulates ``D_i · x_i``
+    into the global output — no intermediate local vectors, no separate
+    permutation step.
     """
 
     def __init__(self, fact: _ExportedFactor, dofs: np.ndarray,
@@ -252,49 +222,40 @@ class FusedLocalApply:
             else np.ascontiguousarray(dofs[fact.piv_out])
         self.d_piv = np.ascontiguousarray(
             np.asarray(d, dtype=np.float64)[fact.piv_out])
-        self._z = np.empty(self.n, dtype=fact.dtype)
-        if fact.dtype == np.float32:
-            self._gather, self._scatter = lib.gather_cast_f32, \
-                lib.scatter_add_f32
-            sfx = "f32"
-        else:
-            self._gather, self._scatter = lib.gather_f64, \
-                lib.scatter_add_f64
-            sfx = "f64"
-        self._gather_block = getattr(lib, f"gather_block_{sfx}")
-        self._scatter_block = getattr(lib, f"scatter_add_block_{sfx}")
-        self._z_ptr = _ptr(self._z, fact.value_ct)
+        self._z = np.empty(self.n)
+        self._gather, self._scatter = lib.gather_f64, lib.scatter_add_f64
+        self._gather_block = lib.gather_block_f64
+        self._scatter_block = lib.scatter_add_block_f64
+        self._z_ptr = _ptr(self._z)
         self._gidx_ptr = _ptr(self.gather_idx, ct.c_int64)
         self._sidx_ptr = _ptr(self.scatter_idx, ct.c_int64)
-        self._d_ptr = _ptr(self.d_piv, ct.c_double)
+        self._d_ptr = _ptr(self.d_piv)
         self._n_ct = ct.c_int32(self.n)
 
     def apply_weighted(self, r: np.ndarray, out: np.ndarray) -> None:
         """out += R_iᵀ D_i A_i⁻¹ R_i r (both global fp64 vectors)."""
-        self._gather(_ptr(r, ct.c_double), self._gidx_ptr, self._z_ptr,
-                     self._n_ct)
+        self._gather(_ptr(r), self._gidx_ptr, self._z_ptr, self._n_ct)
         self.fact.solve_permuted_inplace(self._z)
-        self._scatter(_ptr(out, ct.c_double), self._sidx_ptr, self._d_ptr,
-                      self._z_ptr, self._n_ct)
+        self._scatter(_ptr(out), self._sidx_ptr, self._d_ptr, self._z_ptr,
+                      self._n_ct)
 
     def apply_weighted_block(self, R: np.ndarray, out: np.ndarray) -> None:
         """:meth:`apply_weighted` for C-contiguous ``(N, m)`` fp64
         blocks; each column bitwise equal to its vector apply."""
         m = ct.c_int32(R.shape[1])
-        Z = np.empty((self.n, R.shape[1]), dtype=self.fact.dtype)
-        z_ptr = _ptr(Z, self.fact.value_ct)
-        self._gather_block(_ptr(R, ct.c_double), self._gidx_ptr, z_ptr,
-                           self._n_ct, m)
+        Z = np.empty((self.n, R.shape[1]))
+        z_ptr = _ptr(Z)
+        self._gather_block(_ptr(R), self._gidx_ptr, z_ptr, self._n_ct, m)
         self.fact.solve_block_permuted_inplace(Z)
-        self._scatter_block(_ptr(out, ct.c_double), self._sidx_ptr,
-                            self._d_ptr, z_ptr, self._n_ct, m)
+        self._scatter_block(_ptr(out), self._sidx_ptr, self._d_ptr, z_ptr,
+                            self._n_ct, m)
 
 
 class PlainLocalApply:
     """Fallback handle with the same interface, built on any
     :class:`~repro.solvers.local.Factorization` (used when the fused
-    compiled path is unavailable or a probe rejected the reduced-
-    precision factor for this subdomain)."""
+    compiled path is unavailable or a probe rejected the exported
+    factor for this subdomain)."""
 
     def __init__(self, fact, dofs: np.ndarray, d: np.ndarray):
         self.fact = fact

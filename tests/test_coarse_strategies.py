@@ -186,10 +186,10 @@ class TestSolverPlumbing:
 
 class TestKernelGuard:
     def test_ldl_mirror_refused_for_inexact_strategy(self, space):
-        from repro.kernels.fp32 import make_ldl_coarse_solve
+        from repro.kernels.compiled import make_ldl_coarse_solve
         op = CoarseOperator(space, strategy="multilevel")
         # returns None before even touching the compiled library
-        assert make_ldl_coarse_solve(None, op, np.float64, 1e-8) is None
+        assert make_ldl_coarse_solve(None, op) is None
 
     def test_reference_backend_never_mirrors(self, space):
         op = CoarseOperator(space, strategy="multilevel")

@@ -1,12 +1,10 @@
-"""The kernel-backend registry and its three built-in backends.
+"""The kernel-backend registry and its two built-in backends.
 
 The load-bearing guarantees pinned here:
 
 * the ``numpy`` backend performs **bitwise** the operations the
   historical inlined code performed (MGS, blocked CGS2, the overlap
   exchange, the RAS combine);
-* the ``fp32`` backend converges to the same fp64 tolerance with a
-  bounded iteration penalty, and accounts its precision round-trips;
 * the ``compiled`` backend is the default where its library builds,
   is numerically interchangeable with the reference and degrades to
   ``numpy`` when the library is absent;
@@ -35,7 +33,6 @@ from repro.kernels import (
     ENV_VAR,
     BackendUnavailable,
     CompiledBackend,
-    Fp32Backend,
     KernelBackend,
     available_backends,
     backend_names,
@@ -56,6 +53,7 @@ from repro.obs import Recorder
 from repro.partition import partition_mesh
 from repro.resilience import HealthMonitor
 from repro.solvers.ldl import SparseLDL
+from repro.solvers.local import factorize
 
 HAS_LIB = load_library() is not None
 
@@ -71,7 +69,7 @@ def _spd(n, rng, density=0.3):
 # ----------------------------------------------------------------------
 
 def test_builtin_backends_registered():
-    assert {"numpy", "fp32", "compiled"} <= set(backend_names())
+    assert set(backend_names()) == {"numpy", "compiled"}
 
 
 def test_get_backend_default_rule(monkeypatch):
@@ -90,10 +88,11 @@ def test_get_backend_default_rule(monkeypatch):
 
 
 def test_get_backend_env_var(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "fp32")
-    assert get_backend().name == "fp32"
-    # an explicit argument wins over the environment
-    assert get_backend("numpy").name == "numpy"
+    monkeypatch.setenv(ENV_VAR, "numpy")
+    assert type(get_backend()) is KernelBackend
+    if HAS_LIB:
+        # an explicit argument wins over the environment
+        assert get_backend("compiled").name == "compiled"
 
 
 def test_get_backend_unknown_name():
@@ -101,8 +100,30 @@ def test_get_backend_unknown_name():
         get_backend("no-such-backend")
 
 
+def test_removed_fp32_backend_fails_typed(monkeypatch, capsys):
+    """The deleted ``fp32`` name is an unknown backend on every
+    selection path — argument, environment and CLI — never a silent
+    fallback to another backend."""
+    from repro.cli import main as cli_main
+    expected = "unknown kernel backend 'fp32'; " \
+        "expected one of ['compiled', 'numpy']"
+    with pytest.raises(ReproError) as exc:
+        get_backend("fp32")
+    assert str(exc.value) == expected
+    monkeypatch.setenv(ENV_VAR, "fp32")
+    with pytest.raises(ReproError) as exc:
+        get_backend()
+    assert str(exc.value) == expected
+    monkeypatch.delenv(ENV_VAR)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["solve", "--problem", "diffusion2d", "--n", "8",
+                  "-N", "4", "--nev", "2", "--backend", "fp32"])
+    assert str(exc.value.code) == f"error: {expected}"
+    assert "converged" not in capsys.readouterr().out
+
+
 def test_get_backend_instance_passthrough():
-    inst = Fp32Backend()
+    inst = KernelBackend()
     assert get_backend(inst) is inst
 
 
@@ -131,7 +152,7 @@ def test_compiled_unavailable_degrades(monkeypatch):
 def test_available_backends_table():
     table = available_backends()
     assert table["numpy"]["available"] is True
-    assert table["fp32"]["precision"] == "mixed"
+    assert table["numpy"]["precision"] == "fp64"
     for row in table.values():
         assert {"name", "available"} <= set(row)
 
@@ -237,26 +258,14 @@ def test_gmres_default_kernels_matches_explicit(diffusion_decomposition):
 # Symmetric LDLᵀ factorization + fused handles
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12),
-                                       (np.float32, 1e-5)])
-def test_symmetric_ldl_scipy_path(rng, dtype, tol):
+@pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
+def test_symmetric_ldl_compiled_path(rng):
     A = _spd(60, rng)
-    fact = SymmetricLDLFactorization(A, dtype=dtype, lib=None)
+    fact = SymmetricLDLFactorization(A, lib=load_library())
     b = rng.standard_normal(60)
     x = fact.solve(b)
     assert x.dtype == np.float64
-    assert np.linalg.norm(A @ x - b) <= tol * np.linalg.norm(b)
-
-
-@pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
-@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12),
-                                       (np.float32, 1e-5)])
-def test_symmetric_ldl_compiled_path(rng, dtype, tol):
-    A = _spd(60, rng)
-    fact = SymmetricLDLFactorization(A, dtype=dtype, lib=load_library())
-    b = rng.standard_normal(60)
-    x = fact.solve(b)
-    assert np.linalg.norm(A @ x - b) <= tol * np.linalg.norm(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
     B = rng.standard_normal((60, 4))
     X = fact.solve(B)
     assert X.shape == (60, 4)
@@ -275,7 +284,7 @@ def test_probe_factorization_rejects_garbage(rng):
         def solve(self, b):
             return b * 3.0
 
-    good = SymmetricLDLFactorization(A, dtype=np.float64, lib=None)
+    good = factorize(A, "superlu", spd=True)
     assert probe_factorization(good, A, 1e-10)
     assert not probe_factorization(Broken(), A, 1e-2)
     assert not probe_factorization(Wrong(), A, 1e-2)
@@ -287,15 +296,14 @@ def test_fused_local_apply_matches_plain(rng):
     A = _spd(n_loc, rng)
     dofs = rng.choice(n_glob, size=n_loc, replace=False).astype(np.int64)
     d = rng.random(n_loc)
-    fact = SymmetricLDLFactorization(A, dtype=np.float32,
-                                     lib=load_library())
+    fact = SymmetricLDLFactorization(A, lib=load_library())
     h = FusedLocalApply(fact, dofs, d)
     r = rng.standard_normal(n_glob)
     out = np.zeros(n_glob)
     h.apply_weighted(r, out)
     ref = np.zeros(n_glob)
     ref[dofs] += d * fact.solve(r[dofs])
-    assert np.allclose(out, ref, atol=1e-5 * np.abs(ref).max())
+    assert np.allclose(out, ref, atol=1e-12 * np.abs(ref).max())
 
 
 @pytest.fixture(scope="module")
@@ -312,7 +320,6 @@ def convdiff_decomposition():
 @pytest.mark.parametrize("backend,decomposition", [
     pytest.param(CompiledBackend, "diffusion_decomposition",
                  id="CompiledBackend"),
-    pytest.param(Fp32Backend, "diffusion_decomposition", id="Fp32Backend"),
     pytest.param(CompiledBackend, "convdiff_decomposition",
                  id="CompiledBackend-convdiff"),
 ])
@@ -324,8 +331,7 @@ def test_fused_apply_block_matches_columns(request, rng, backend,
     dec = request.getfixturevalue(decomposition)
     ras = OneLevelRAS(dec, kernels=backend())
     assert ras._fused is not None
-    if backend is CompiledBackend:
-        assert all(isinstance(h, FusedLocalApply) for h in ras._fused)
+    assert all(isinstance(h, FusedLocalApply) for h in ras._fused)
     R = rng.standard_normal((dec.problem.num_free, 5))
     P = ras.apply_block(R)
     for c in range(R.shape[1]):
@@ -357,7 +363,7 @@ def test_sparse_ldl_hook_absent_library(rng, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# fp32 / compiled end-to-end accuracy, convergence and accounting
+# compiled end-to-end accuracy, convergence and the coarse fallback
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -392,12 +398,12 @@ def small_elasticity():
 #: solid's conditioning amplifies the stopping tolerance: there, two
 #: fp64 references (local solver "superlu" against "ldl") already differ
 #: by 1.7e-8, so 1e-9 is reachable only on the diffusion problem
-@pytest.mark.parametrize("case,xtol,extra", [
-    ("diffusion", 1e-9, (("fp32", 1e-5, 10),)),
-    ("elasticity", 1e-7, ()),
+@pytest.mark.parametrize("case,xtol", [
+    ("diffusion", 1e-9),
+    ("elasticity", 1e-7),
 ], ids=["diffusion", "elasticity"])
 def test_backend_accuracy_and_iteration_budget(request, monkeypatch, case,
-                                               xtol, extra):
+                                               xtol):
     if case == "diffusion":
         (mesh, form), kw = request.getfixturevalue("small_problem"), {}
     else:
@@ -407,8 +413,7 @@ def test_backend_accuracy_and_iteration_budget(request, monkeypatch, case,
     xnorm = np.linalg.norm(ref.x)
     monkeypatch.delenv(ENV_VAR, raising=False)
     # None: the unset default, which resolves to compiled where it builds
-    for name, tol, it_budget in (("compiled", xtol, 1), (None, xtol, 1),
-                                 *extra):
+    for name, tol, it_budget in (("compiled", xtol, 1), (None, xtol, 1)):
         solver, rep = _solve(mesh, form, name, **kw)
         if name is None:
             assert solver.kernels.name == \
@@ -418,44 +423,13 @@ def test_backend_accuracy_and_iteration_budget(request, monkeypatch, case,
         assert rep.iterations <= ref.iterations + it_budget, name
 
 
-def test_fp32_round_trip_counters(small_problem):
-    mesh, form = small_problem
-    rec = Recorder()
-    solver, rep = _solve(mesh, form, "fp32", recorder=rec)
-    assert rep.converged
-    assert solver.kernels.name == "fp32"
-    c = rec.counters
-    assert c.get("kernel.fp32_ortho_steps", 0) >= rep.iterations
-    assert c.get("kernel.fp32_bytes_down", 0) > 0
-    # local applies and the coarse solve happen once per iteration-ish
-    assert c.get("kernel.fp32_local_applies", 0) > 0 or \
-        c.get("kernel.fp32_fallbacks", 0) > 0
-    if HAS_LIB:
-        assert c.get("kernel.fp32_bytes_up", 0) > 0
-
-
-def test_fp32_block_and_recycled_paths(small_problem):
-    mesh, form = small_problem
-    solver = SchwarzSolver(mesh, form, num_subdomains=6, nev=6,
-                           kernel_backend="fp32")
-    sess = solver.session()
-    b = solver.problem.rhs()
-    B = np.column_stack([b, 0.5 * b])
-    batch = sess.solve_many(B, tol=1e-8)
-    assert batch.converged
-    ref = SchwarzSolver(mesh, form, num_subdomains=6, nev=6).solve(tol=1e-8)
-    assert np.linalg.norm(batch.X[:, 0] - ref.x) \
-        <= 1e-5 * np.linalg.norm(ref.x)
-    rep = sess.solve(b, tol=1e-8)
-    assert rep.converged
-
-
 def test_fp32_coarse_fallback_on_nonfinite(small_problem):
-    """A non-finite reduced-precision coarse solve must drop the kernel
-    mirror and retry fp64 before escalating to the pseudo-inverse."""
+    """A non-finite kernel-mirror coarse solve must drop the mirror and
+    retry the strategy's fp64 factorization before escalating to the
+    pseudo-inverse."""
     mesh, form = small_problem
     solver = SchwarzSolver(mesh, form, num_subdomains=6, nev=6,
-                           kernel_backend="fp32")
+                           kernel_backend="compiled")
     coarse = solver.coarse
     coarse.resilient = True
     coarse._kernel_solve = lambda w: np.full(coarse.dim, np.nan)
@@ -470,9 +444,9 @@ def test_fp32_coarse_fallback_on_nonfinite(small_problem):
 
 def test_env_var_backend_selection(small_problem, monkeypatch):
     mesh, form = small_problem
-    monkeypatch.setenv(ENV_VAR, "fp32")
+    monkeypatch.setenv(ENV_VAR, "numpy")
     solver = SchwarzSolver(mesh, form, num_subdomains=4, nev=4)
-    assert solver.kernels.name == "fp32"
+    assert solver.kernels.name == "numpy"
     assert solver.solve(tol=1e-8).converged
 
 
@@ -563,13 +537,14 @@ def test_fgmres_inexact_fp32_preconditioner(diffusion_decomposition):
     assert set(res.profile) >= {"apply", "matvec"}
 
 
+@pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
 def test_fgmres_fp32_kernels_with_health(diffusion_decomposition):
     dec = diffusion_decomposition
-    ras = OneLevelRAS(dec, kernels=Fp32Backend())
+    ras = OneLevelRAS(dec, kernels=CompiledBackend())
     b = dec.problem.rhs()
     health = HealthMonitor()
     res = fgmres(dec.matvec, b, M=ras.apply, tol=1e-10,
-                 health=health, kernels=Fp32Backend())
+                 health=health, kernels=CompiledBackend())
     assert res.converged
     assert health.breakdowns == []
     assert np.linalg.norm(b - dec.matvec(res.x)) \
@@ -580,6 +555,7 @@ def test_fgmres_fp32_kernels_with_health(diffusion_decomposition):
 # Coarse operator routing
 # ----------------------------------------------------------------------
 
+@pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
 def test_coarse_operator_kernel_routing(diffusion_decomposition):
     dec = diffusion_decomposition
     results = [compute_deflation(s, nev=4, seed=s.index)
@@ -588,16 +564,17 @@ def test_coarse_operator_kernel_routing(diffusion_decomposition):
     ref_space = DeflationSpace(dec, W)
     ref = CoarseOperator(ref_space)
     assert ref._kernel_solve is None      # numpy backend: fp64 direct
-    space32 = DeflationSpace(dec, W)
-    c32 = CoarseOperator(space32, kernels=Fp32Backend())
-    assert space32.kernels.name == "fp32"
+    comp = CoarseOperator(DeflationSpace(dec, W),
+                          kernels=CompiledBackend())
+    assert comp.kernels.name == "compiled"
+    assert comp._kernel_solve is not None  # compiled LDLᵀ mirror of E
     rng = np.random.default_rng(7)
     w = rng.standard_normal(ref.dim)
-    y64, y32 = ref.solve(w), c32.solve(w)
-    assert np.linalg.norm(y32 - y64) <= 1e-3 * np.linalg.norm(y64)
+    y64, yc = ref.solve(w), comp.solve(w)
+    assert np.linalg.norm(yc - y64) <= 1e-10 * np.linalg.norm(y64)
     u = rng.standard_normal(dec.problem.num_free)
-    assert np.linalg.norm(c32.correction(u) - ref.correction(u)) \
-        <= 1e-3 * np.linalg.norm(ref.correction(u)) + 1e-12
+    assert np.linalg.norm(comp.correction(u) - ref.correction(u)) \
+        <= 1e-10 * np.linalg.norm(ref.correction(u)) + 1e-12
     y = rng.standard_normal(ref.dim)
-    assert np.linalg.norm(c32.az_dot(y) - ref.az_dot(y)) \
-        <= 1e-3 * np.linalg.norm(ref.az_dot(y))
+    assert np.linalg.norm(comp.az_dot(y) - ref.az_dot(y)) \
+        <= 1e-10 * np.linalg.norm(ref.az_dot(y))
