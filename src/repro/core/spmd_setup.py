@@ -10,10 +10,11 @@ MPI.  Each rank, given only the global coarse mesh + partition array
 own rank id:
 
 1. grows its own overlap ``T_i^{δ+1}``;
-2. builds its Dirichlet, Neumann (and extended-GenEO surrogate)
-   matrices with :func:`repro.dd.subdomain.build_subdomain` — the same
-   builder the sequential decomposition calls, on its own cells of the
-   replicated global function space;
+2. computes the element matrices of its own cells of the replicated
+   global function space, and builds its Dirichlet, Neumann (and
+   extended-GenEO surrogate) matrices from them with
+   :func:`repro.dd.subdomain.build_subdomain` — the same builder the
+   sequential decomposition calls;
 3. finds neighbour candidates from the partition graph, then exchanges
    **global dof keys** with them to align the shared-dof index maps
    (entity keys, not a global dof numbering: vertex ids / edge pairs /
@@ -70,7 +71,8 @@ def build_local_subdomain(comm: Comm, problem: Problem, part: np.ndarray,
 
     # ---- step 1+2: purely local matrices -----------------------------
     cells, layers = grow_overlap(mesh, part, me, delta + 1)
-    sub = build_subdomain(problem, me, cells, layers, delta)
+    Ke, Kg = problem.form.element_matrices_with_geneo(problem.space, cells)
+    sub = build_subdomain(problem, me, cells, layers, delta, Ke, Kg)
     dofs = sub.dofs
 
     # ---- step 3: neighbour discovery + shared-dof alignment ----------

@@ -15,8 +15,10 @@ This is the algebraic heart of the paper's §2: every subdomain carries
 
 The first four come from :func:`repro.dd.subdomain.build_subdomain`,
 the one builder :mod:`repro.core.spmd_setup` shares; this module adds
-what needs every subdomain at once: the χ̃ sum, the scale vector and
-the exchange maps.
+what needs every subdomain at once, each as one whole-array pass: the
+element matrices of every cell (computed once and sliced per
+subdomain, where each T_i^{δ+1} would repeat the cells its neighbours
+also cover), the χ̃ sum, the scale vector and the exchange maps.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from ..common.errors import DecompositionError
 from ..common.validation import as_float64_block
-from ..fem.assembly import _cell_geometry
 from ..parallel import ParallelConfig, parallel_map, resolve_parallel
 from .overlap import grow_overlap
 from .pou import chi_tilde
@@ -57,9 +58,10 @@ class Decomposition:
         ``None`` for serial).  Results are executor-independent.
     recorder:
         Optional :class:`repro.obs.Recorder` — records the build steps
-        as spans (``build_subdomains``, ``apply_scaling``,
-        ``build_exchange``) and counts every distributed matvec under
-        the ``matvecs`` counter.
+        as spans (``build_subdomains`` with ``element_matrices`` inside
+        it, ``apply_scaling``, ``build_exchange``, ``detect_symmetry``)
+        and counts every distributed matvec under the ``matvecs``
+        counter.
     kernels:
         Optional :class:`~repro.kernels.KernelBackend` owning the
         overlap-exchange kernel; ``None`` uses the reference ``numpy``
@@ -94,7 +96,8 @@ class Decomposition:
             self._apply_scaling()
         with self.recorder.span("build_exchange"):
             self._build_exchange()
-        self._detect_symmetry()
+        with self.recorder.span("detect_symmetry"):
+            self._detect_symmetry()
 
     # ------------------------------------------------------------------
     def _detect_symmetry(self) -> None:
@@ -141,9 +144,13 @@ class Decomposition:
         # pre-warm the lazy global caches every task reads, so
         # concurrent tasks never race to populate one
         mesh.vertex_to_cells
-        mesh.cell_diameters()
         problem.space.cell_dofs
-        _cell_geometry(problem.space)
+
+        # every cell's element matrices once: the T_i^{δ+1} overlap, so
+        # per-subdomain passes would compute most cells twice or more;
+        # each task slices its own cells, reading only
+        with self.recorder.span("element_matrices"):
+            Ke, Kg = problem.form.element_matrices_with_geneo(problem.space)
 
         # grow to δ+1 once; T_i^δ is the layer <= δ prefix
         grown = parallel_map(
@@ -154,7 +161,9 @@ class Decomposition:
         chi, chi_total = chi_tilde(mesh, overlaps_d, delta)
 
         def build_one(i: int) -> Subdomain:
-            sub = build_subdomain(problem, i, *grown[i], delta)
+            cells, layers = grown[i]
+            sub = build_subdomain(problem, i, cells, layers, delta,
+                                  Ke[cells], None if Kg is None else Kg[cells])
             verts, chi_vals = chi[i]
             sub.d = partition_of_unity(problem, sub, verts, chi_vals,
                                        chi_total[verts])
@@ -165,45 +174,47 @@ class Decomposition:
     # ------------------------------------------------------------------
     def _build_exchange(self) -> None:
         """Compute neighbour sets O_i and the aligned shared-dof position
-        arrays that realise R_i R_jᵀ."""
+        arrays that realise R_i R_jᵀ, in whole-array passes."""
         subs = self.subdomains
+        sizes = np.array([s.size for s in subs], dtype=np.int64)
         dofs_all = np.concatenate([s.dofs for s in subs])
-        owner = np.concatenate([np.full(s.size, s.index, dtype=np.int64)
-                                for s in subs])
-        pos = np.concatenate([np.arange(s.size, dtype=np.int64) for s in subs])
+        owner = np.repeat(np.arange(len(subs), dtype=np.int64), sizes)
+        pos = (np.arange(dofs_all.size, dtype=np.int64)
+               - np.repeat(np.cumsum(sizes) - sizes, sizes))
         order = np.argsort(dofs_all, kind="stable")
         dsort, osort, psort = dofs_all[order], owner[order], pos[order]
         starts = np.flatnonzero(np.r_[True, dsort[1:] != dsort[:-1]])
-        ends = np.r_[starts[1:], dsort.size]
-
-        from collections import defaultdict
-        pair_pos: dict[tuple[int, int], list[int]] = defaultdict(list)
+        counts = np.diff(np.r_[starts, dsort.size])
         multiplicity = np.zeros(self.problem.num_free, dtype=np.int64)
-        for s0, s1 in zip(starts, ends):
-            multiplicity[dsort[s0]] = s1 - s0
-            if s1 - s0 < 2:
-                continue
-            group_owner = osort[s0:s1]
-            group_pos = psort[s0:s1]
-            for a in range(s1 - s0):
-                for b in range(s1 - s0):
-                    if group_owner[a] != group_owner[b]:
-                        pair_pos[(group_owner[a], group_owner[b])].append(
-                            group_pos[a])
+        multiplicity[dsort[starts]] = counts
         if np.any(multiplicity == 0):  # pragma: no cover - internal check
             raise DecompositionError("a free dof belongs to no subdomain")
         self.multiplicity = multiplicity
 
-        for (i, j), plist in pair_pos.items():
-            # entries appended in ascending global-dof order (groups are
-            # visited in sorted order), so both sides align
-            subs[i].shared[j] = np.asarray(plist, dtype=np.int64)
+        # every ordered pair (a, b), a != b, of a shared dof's owners,
+        # one multiplicity class m at a time: m(m-1) pairs per dof
+        me, nb, at = [], [], []
+        for m in np.unique(counts[counts > 1]):
+            first = starts[counts == m][:, None]
+            a, b = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+            off = a != b
+            ia, ib = first + a[off], first + b[off]
+            me.append(osort[ia].ravel())
+            nb.append(osort[ib].ravel())
+            at.append(psort[ia].ravel())
+        if me:
+            me, nb, at = (np.concatenate(v) for v in (me, nb, at))
+            # by (owner, neighbour), then position — ascending global dof,
+            # as ``dofs`` ascends: both sides of a pair align
+            o = np.lexsort((at, nb, me))
+            me, nb, at = me[o], nb[o], at[o]
+            cut = np.flatnonzero(np.r_[True, (me[1:] != me[:-1])
+                                       | (nb[1:] != nb[:-1])])
+            for lo, hi in zip(cut, np.r_[cut[1:], me.size]):
+                subs[me[lo]].shared[int(nb[lo])] = at[lo:hi]
         for s in subs:
-            s.neighbors = sorted(s.shared.keys())
-            mask = np.zeros(s.size, dtype=bool)
-            for j in s.neighbors:
-                mask[s.shared[j]] = True
-            s.overlap_mask = mask
+            s.neighbors = sorted(s.shared)
+            s.overlap_mask = multiplicity[s.dofs] > 1
 
     # ------------------------------------------------------------------
     # Global <-> local transfers (test / driver utilities)

@@ -4,12 +4,14 @@ The paper's approach 2 (§2): the Dirichlet matrix ``R_i A R_iᵀ`` is the
 discretisation of a on V_i^{δ+1} with the extra layer's rows and columns
 removed, the Neumann matrix ``A_i^δ`` the discretisation on V_i^δ.
 T_i^δ is the layer-≤ δ part of T_i^{δ+1}, so both scatter *one* array of
-element matrices, computed on those cells of the global function space:
-no submesh, no local space, no dof map, no global matrix.
-:class:`~repro.dd.decomposition.Decomposition` and
-:func:`repro.core.spmd_setup.build_local_subdomain` both call
-:func:`build_subdomain`, :func:`partition_of_unity` and
-:func:`apply_jacobi_scaling`.
+element matrices on those cells of the global function space: no
+submesh, no local space, no dof map, no global matrix.  The caller
+supplies that array — an SPMD rank
+(:func:`repro.core.spmd_setup.build_local_subdomain`) computes it on
+its own cells, :class:`~repro.dd.decomposition.Decomposition` slices
+it from one pass over every cell of the mesh; a cell's element matrix
+is the same either way.  Both setups call :func:`build_subdomain`,
+:func:`partition_of_unity` and :func:`apply_jacobi_scaling`.
 """
 
 from __future__ import annotations
@@ -78,21 +80,23 @@ def assemble_free(problem: Problem, Ke: np.ndarray, cell_dofs: np.ndarray
 
 
 def build_subdomain(problem: Problem, index: int, cells: np.ndarray,
-                    layers: np.ndarray, delta: int) -> Subdomain:
-    """Subdomain *index* from ``T_i^{δ+1}`` given as its global *cells*
-    and the overlap *layer* of each.  ``d`` is left to
-    :func:`partition_of_unity`, the exchange maps to the caller."""
-    space, form = problem.space, problem.form
+                    layers: np.ndarray, delta: int, Ke: np.ndarray,
+                    Kg: np.ndarray | None) -> Subdomain:
+    """Subdomain *index* from ``T_i^{δ+1}`` given as its global *cells*,
+    the overlap *layer* of each, and the element matrices *Ke* of the
+    operator and *Kg* of the form's GenEO surrogate (``None`` if it has
+    none) on those cells, as returned by
+    :meth:`~repro.fem.forms.Form.element_matrices_with_geneo`.  ``d`` is
+    left to :func:`partition_of_unity`, the exchange maps to the
+    caller."""
     inner = layers <= delta
-    cell_dofs = space.cell_dofs[cells]
-    Ke = form.element_matrices(space, cells)
+    cell_dofs = problem.space.cell_dofs[cells]
     A_neu, dofs = assemble_free(problem, Ke[inner], cell_dofs[inner])
     # approach 2: assemble on V_i^{δ+1}, trim to the free dofs of V_i^δ
     A_dp1, dofs_dp1 = _assemble_on(Ke, cell_dofs)
     sel = np.searchsorted(dofs_dp1, problem.free[dofs])
-    Kg = form.geneo_element_matrices(space, cells[inner])
     A_geneo = (None if Kg is None
-               else assemble_free(problem, Kg, cell_dofs[inner])[0])
+               else assemble_free(problem, Kg[inner], cell_dofs[inner])[0])
     return Subdomain(index=index, cells=cells[inner], layers=layers[inner],
                      dofs=dofs, A_dir=A_dp1[sel][:, sel], A_neu=A_neu,
                      A_geneo=A_geneo)
@@ -124,10 +128,19 @@ def jacobi_scale(sub: Subdomain) -> np.ndarray:
     return 1.0 / np.sqrt(np.abs(sub.A_dir.diagonal()))
 
 
+def _scale_csr(A: sp.csr_matrix, scale: np.ndarray) -> None:
+    """``A ← S A S`` in place, in O(nnz).
+
+    Bitwise scipy's ``S @ A @ S``: the same products in the same order,
+    ``(s_r · a) · s_c``, and the entries that come out exactly zero
+    dropped as its sparse products drop them."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    A.data = (scale[rows] * A.data) * scale[A.indices]
+    A.eliminate_zeros()
+
+
 def apply_jacobi_scaling(sub: Subdomain, scale: np.ndarray) -> None:
     """``S A S`` with ``S = diag(scale)`` for every local matrix."""
-    S = sp.diags(scale)
-    sub.A_dir = (S @ sub.A_dir @ S).tocsr()
-    sub.A_neu = (S @ sub.A_neu @ S).tocsr()
-    if sub.A_geneo is not None:
-        sub.A_geneo = (S @ sub.A_geneo @ S).tocsr()
+    for A in (sub.A_dir, sub.A_neu, sub.A_geneo):
+        if A is not None:
+            _scale_csr(A, scale)

@@ -3,8 +3,9 @@
 A :class:`Form` captures the variational formulation plus its per-cell
 coefficient fields over the global mesh, and returns the element
 matrices of any cell subset of the global space
-(:meth:`Form.element_matrices`) — each T_i^{δ+1} and T_i^δ of domain
-decomposition, or the whole mesh; every matrix is a scatter of those.
+(:meth:`Form.element_matrices`) — one rank's T_i^{δ+1}, or the whole
+mesh, which the in-process decomposition slices per subdomain; every
+matrix is a scatter of those.
 """
 
 from __future__ import annotations
@@ -65,6 +66,15 @@ class Form:
         means "use the operator itself".
         """
         return None
+
+    def element_matrices_with_geneo(self, space: FunctionSpace, cells=None
+                                    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Both arrays at once: :meth:`element_matrices` and
+        :meth:`geneo_element_matrices` of *cells*.  Forms whose operator
+        extends its surrogate compute the shared part once; the result is
+        bitwise that of the two separate calls."""
+        return (self.element_matrices(space, cells),
+                self.geneo_element_matrices(space, cells))
 
     def assemble_matrix(self, space: FunctionSpace) -> sp.csr_matrix:
         return scatter_matrix(self.element_matrices(space), space.cell_dofs,
@@ -210,6 +220,12 @@ class ConvectionDiffusionForm(Form):
     def geneo_element_matrices(self, space, cells=None):
         return self._symmetric_part(space, cells)
 
+    def element_matrices_with_geneo(self, space, cells=None):
+        Kg = self._symmetric_part(space, cells)
+        Ke = Kg.copy()
+        Ke += advection_elements(space, cells, self.beta)
+        return Ke, Kg
+
     def assemble_rhs(self, space):
         b = assemble_load(space, self.f)
         if self.stabilization == "supg":
@@ -259,6 +275,12 @@ class HelmholtzForm(Form):
         # part only — the indefinite mass shift is excluded from the
         # pencil so the eigensolve stays SPD
         return stiffness_elements(space, cells, self.kappa)
+
+    def element_matrices_with_geneo(self, space, cells=None):
+        Kg = stiffness_elements(space, cells, self.kappa)
+        Ke = Kg.copy()
+        Ke -= mass_elements(space, cells, self._mass_coefficient())
+        return Ke, Kg
 
     def assemble_rhs(self, space):
         return assemble_load(space, self.f)

@@ -12,9 +12,19 @@ from repro.dd import (
     map_scalar_dofs,
     vertex_layers,
 )
-from repro.fem import FunctionSpace, channels_and_inclusions
-from repro.fem.forms import DiffusionForm, ElasticityForm
-from repro.mesh import unit_cube, unit_square
+from repro.dd.subdomain import Subdomain, apply_jacobi_scaling
+from repro.fem import (
+    FunctionSpace,
+    channels_and_inclusions,
+    layered_elasticity,
+)
+from repro.fem.forms import (
+    ConvectionDiffusionForm,
+    DiffusionForm,
+    ElasticityForm,
+    HelmholtzForm,
+)
+from repro.mesh import rectangle, unit_cube, unit_square
 from repro.partition import partition_mesh
 
 
@@ -224,6 +234,16 @@ class TestDecomposition:
         with pytest.raises(DecompositionError):
             Decomposition(diffusion_problem, np.zeros(3, dtype=int), delta=1)
 
+    def test_every_build_step_is_a_span(self, diffusion_problem):
+        from repro.obs import Recorder
+        rec = Recorder()
+        part = partition_mesh(diffusion_problem.mesh, 4, seed=0)
+        Decomposition(diffusion_problem, part, delta=1, recorder=rec)
+        for name in ("build_subdomains", "element_matrices",
+                     "apply_scaling", "build_exchange", "detect_symmetry"):
+            assert len(rec.find(name)) == 1, name
+        assert rec.nested_within("element_matrices", "build_subdomains")
+
     def test_scaled_problem_matvec(self):
         m = unit_square(10)
         prob = Problem(m, DiffusionForm(degree=2, kappa=None),
@@ -234,6 +254,200 @@ class TestDecomposition:
         assert np.allclose(A.diagonal(), 1.0)   # scaled to unit diagonal
         x = np.random.default_rng(1).standard_normal(prob.num_free)
         assert np.allclose(dec.matvec(x), A @ x)
+
+
+def reference_exchange(subs, num_free):
+    """The per-dof double loop over owner pairs that the vectorised
+    ``Decomposition._build_exchange`` replaced: ``(shared, neighbors,
+    overlap_mask)`` per subdomain, and the multiplicity of every dof."""
+    from collections import defaultdict
+    dofs_all = np.concatenate([s.dofs for s in subs])
+    owner = np.concatenate([np.full(s.size, s.index, dtype=np.int64)
+                            for s in subs])
+    pos = np.concatenate([np.arange(s.size, dtype=np.int64) for s in subs])
+    order = np.argsort(dofs_all, kind="stable")
+    dsort, osort, psort = dofs_all[order], owner[order], pos[order]
+    starts = np.flatnonzero(np.r_[True, dsort[1:] != dsort[:-1]])
+    ends = np.r_[starts[1:], dsort.size]
+    pair_pos = defaultdict(list)
+    multiplicity = np.zeros(num_free, dtype=np.int64)
+    for s0, s1 in zip(starts, ends):
+        multiplicity[dsort[s0]] = s1 - s0
+        for a in range(s0, s1):
+            for b in range(s0, s1):
+                if osort[a] != osort[b]:
+                    pair_pos[(osort[a], osort[b])].append(psort[a])
+    shared = [{} for _ in subs]
+    for (i, j), plist in pair_pos.items():
+        shared[i][j] = np.asarray(plist, dtype=np.int64)
+    out = []
+    for s, sh in zip(subs, shared):
+        mask = np.zeros(s.size, dtype=bool)
+        for p in sh.values():
+            mask[p] = True
+        out.append((sh, sorted(sh), mask))
+    return out, multiplicity
+
+
+def _exchange_square(delta, method="multilevel"):
+    mesh = unit_square(10)
+    problem = Problem(mesh, DiffusionForm(degree=2))
+    return problem, partition_mesh(mesh, 6, method=method, seed=1), delta
+
+
+def _exchange_cube():
+    mesh = unit_cube(4)
+    problem = Problem(mesh, DiffusionForm(degree=1))
+    return problem, partition_mesh(mesh, 32, seed=0), 1
+
+
+def _exchange_elasticity():
+    mesh = rectangle(10, 4, x1=3.0)
+    lam, mu = layered_elasticity(mesh)
+    problem = Problem(mesh, ElasticityForm(degree=2, lam=lam, mu=mu),
+                      dirichlet=lambda x: x[:, 0] < 1e-9)
+    return problem, partition_mesh(mesh, 5, method="rcb", seed=0), 1
+
+
+EXCHANGE_CASES = {
+    **{f"square-delta{d}": (lambda d=d: _exchange_square(d))
+       for d in (1, 2, 3)},
+    "square-rcb": lambda: _exchange_square(2, "rcb"),
+    "cube-32parts": _exchange_cube,
+    "elasticity-rcb": _exchange_elasticity,
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXCHANGE_CASES))
+def test_exchange_matches_double_loop(case):
+    problem, part, delta = EXCHANGE_CASES[case]()
+    dec = Decomposition(problem, part, delta=delta)
+    ref, multiplicity = reference_exchange(dec.subdomains, problem.num_free)
+    assert np.array_equal(dec.multiplicity, multiplicity)
+    if case == "cube-32parts":
+        assert multiplicity.max() >= 4
+    for s, (shared, neighbors, mask) in zip(dec.subdomains, ref):
+        assert s.neighbors == neighbors
+        assert sorted(s.shared) == neighbors
+        for j in neighbors:
+            assert np.array_equal(s.shared[j], shared[j])
+        assert np.array_equal(s.overlap_mask, mask)
+
+
+def _same_csr(A, B):
+    return (np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.data, B.data))
+
+
+def test_inplace_scaling_is_scipy_product():
+    """``apply_jacobi_scaling`` scales in O(nnz) and reproduces
+    ``S @ A @ S`` array for array — including the entries it drops: a
+    stored entry whose duplicates cancelled exactly, and one that
+    underflows to zero once scaled."""
+    import scipy.sparse as sp
+    rng = np.random.default_rng(3)
+    n = 40
+    # random strictly upper part and a diagonal; the two special
+    # entries sit in the otherwise empty lower triangle
+    R = sp.triu(sp.random(n, n, density=0.2, random_state=4), 1).tocoo()
+    rows = np.r_[R.row, np.arange(n), 9, 9, 7]
+    cols = np.r_[R.col, np.arange(n), 5, 5, 2]
+    vals = np.r_[R.data - 0.5, 4.0 + rng.random(n), 0.3, -0.3, 1e-300]
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    assert A[9, 5] == 0.0 and 0.0 in A.data    # a stored, cancelled zero
+    scale = 0.5 + rng.random(n)
+    scale[7] = scale[2] = 1e-100               # only A[7, 2] underflows
+
+    problem = Problem(unit_square(8), ConvectionDiffusionForm(
+        degree=2, kappa=0.05, beta=np.array([30.0, 10.0])))
+    dec = Decomposition(problem, partition_mesh(problem.mesh, 3, seed=0))
+    mats = [A] + [getattr(s, m) for s in dec.subdomains
+                  for m in ("A_dir", "A_neu", "A_geneo")]
+    scales = [scale] + [1.0 / np.sqrt(np.abs(s.A_dir.diagonal()))
+                        for s in dec.subdomains for _ in range(3)]
+    for M, sc in zip(mats, scales):
+        S = sp.diags(sc)
+        expected = (S @ M @ S).tocsr()
+        sub = Subdomain(index=0, cells=None, layers=None, dofs=None,
+                        A_dir=M.copy(), A_neu=M.copy())
+        apply_jacobi_scaling(sub, sc)
+        assert _same_csr(sub.A_dir, expected)
+        assert _same_csr(sub.A_neu, expected)
+    assert expected.nnz == M.nnz    # real subdomain matrices lose nothing
+    scaled = Subdomain(index=0, cells=None, layers=None, dofs=None,
+                       A_dir=A.copy(), A_neu=A.copy())
+    apply_jacobi_scaling(scaled, scale)
+    assert scaled.A_dir.nnz == A.nnz - 2
+
+
+FORMS = {
+    "diffusion": lambda m: DiffusionForm(
+        degree=3, kappa=channels_and_inclusions(m, seed=2)),
+    "elasticity": lambda m: ElasticityForm(
+        degree=2, lam=1.0 + np.arange(m.num_cells) % 3, mu=1.0),
+    "convdiff": lambda m: ConvectionDiffusionForm(
+        degree=3, kappa=0.02 * channels_and_inclusions(m, seed=2),
+        beta=np.array([60.0, 21.0])),
+    "helmholtz": lambda m: HelmholtzForm(
+        degree=2, kappa=1.0, k=6.0 + np.arange(m.num_cells) % 4,
+        epsilon=0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_all_cell_element_matrices_slice_bitwise(name):
+    """One pass over every cell, sliced, is bitwise what each subdomain's
+    own call computes — and the fused operator/surrogate pass is bitwise
+    the two separate calls."""
+    mesh = unit_square(12)
+    form = FORMS[name](mesh)
+    space = form.make_space(mesh)
+    Ke, Kg = form.element_matrices_with_geneo(space)
+    assert np.array_equal(Ke, form.element_matrices(space))
+    G = form.geneo_element_matrices(space)
+    assert (Kg is None) == (G is None)
+    assert Kg is None or np.array_equal(Kg, G)
+    part = partition_mesh(mesh, 5, seed=0)
+    for i in range(5):
+        cells, _ = grow_overlap(mesh, part, i, 2)
+        Ke_i, Kg_i = form.element_matrices_with_geneo(space, cells)
+        assert np.array_equal(Ke[cells], Ke_i)
+        assert Kg is None or np.array_equal(Kg[cells], Kg_i)
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "convdiff"])
+def test_threads_build_is_bitwise_serial(kind):
+    """Worker threads slice the shared element-matrix arrays; every
+    subdomain array is bitwise the serial build's — with more workers
+    than cores and a short switch interval, so the tasks interleave."""
+    import sys
+
+    from repro.parallel import ParallelConfig
+    mesh = unit_square(12)
+    form = FORMS[kind](mesh)
+    part = partition_mesh(mesh, 6, seed=0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        decs = [Decomposition(Problem(mesh, form, scaling="jacobi"), part,
+                              delta=2, parallel=p)
+                for p in ("serial", ParallelConfig("threads", workers=4))]
+    finally:
+        sys.setswitchinterval(interval)
+    assert decs[1].parallel.backend == "threads"
+    assert np.array_equal(decs[0].multiplicity, decs[1].multiplicity)
+    assert np.array_equal(decs[0].problem.scale, decs[1].problem.scale)
+    for a, b in zip(decs[0].subdomains, decs[1].subdomains):
+        for name in ("A_dir", "A_neu", "A_geneo"):
+            A, B = getattr(a, name), getattr(b, name)
+            assert (A is None) == (B is None)
+            assert A is None or _same_csr(A, B), name
+        for name in ("dofs", "d", "cells", "layers", "overlap_mask"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.neighbors == b.neighbors
+        for j in a.neighbors:
+            assert np.array_equal(a.shared[j], b.shared[j])
 
 
 class TestProblem:

@@ -1,8 +1,8 @@
 """The one subdomain builder against the submesh reference it replaced.
 
-:func:`repro.dd.subdomain.build_subdomain` computes every subdomain's
-element matrices once, on its cells of the *global* function space, and
-scatters them into A_dir, A_neu and A_geneo.  The reference below is
+:func:`repro.dd.subdomain.build_subdomain` scatters every subdomain's
+element matrices, taken on its cells of the *global* function space,
+into A_dir, A_neu and A_geneo.  The reference below is
 the older construction, kept as an independent oracle: extract the
 submeshes of T_i^{δ+1} and T_i^δ, build a local function space on each,
 assemble the form there with its per-cell fields restricted, inject the
