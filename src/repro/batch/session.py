@@ -245,10 +245,7 @@ class SolveSession:
                                     backend=solver.coarse_backend,
                                     parallel=solver.parallel,
                                     recorder=self.recorder,
-                                    kernels=solver.kernels,
-                                    strategy=getattr(solver,
-                                                     "coarse_strategy",
-                                                     None))
+                                    kernels=solver.kernels)
         base = solver.preconditioner
         if isinstance(base, (TwoLevelADEF1, TwoLevelADEF2, TwoLevelBNN)):
             cls = type(base)

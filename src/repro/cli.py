@@ -125,7 +125,6 @@ def cmd_solve(args) -> int:
             seed=args.seed, parallel=parallel, recorder=recorder,
             faults=faults, recovery=args.recovery,
             kernel_backend=args.backend or None,
-            coarse_strategy=args.coarse_strategy or None,
             coarse_space=args.coarse_space or None)
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
@@ -137,7 +136,6 @@ def cmd_solve(args) -> int:
             ["dofs", solver.problem.space.num_dofs],
             ["subdomains", args.subdomains],
             ["coarse dim", solver.coarse_dim],
-            ["coarse strategy", solver.coarse_strategy.name],
             ["coarse space", solver.coarse_space_name],
             ["kernel backend", solver.kernels.name],
             ["iterations", report.iterations],
@@ -275,20 +273,6 @@ def cmd_backends(args) -> int:
     print(f"\nselection: --backend flag > ${ENV_VAR} "
           f"(currently {os.environ.get(ENV_VAR) or 'unset'}) > compiled "
           f"if its C library builds > numpy; resolved: {selected}")
-    from .core.coarse_strategies import (
-        ENV_VAR as STRAT_ENV,
-        get_strategy,
-        strategy_names,
-    )
-    srows = []
-    for name in strategy_names():
-        row = get_strategy(name).describe()
-        srows.append([name, "yes" if row["exact"] else "no (inner FGMRES)"])
-    print()
-    print(table(["strategy", "exact"], srows,
-                title="repro coarse-solve strategies"))
-    print(f"\nselection: --coarse-strategy flag > ${STRAT_ENV} "
-          f"(currently {os.environ.get(STRAT_ENV) or 'unset'}) > dense")
     return 0
 
 
@@ -500,12 +484,6 @@ def make_parser() -> argparse.ArgumentParser:
                          "$REPRO_KERNEL_BACKEND, else compiled if its "
                          "C library builds, else numpy — see "
                          "`repro backends` and docs/performance.md)")
-    ps.add_argument("--coarse-strategy", default="",
-                    help="how the coarse problem is solved (dense, "
-                         "sparse, multilevel; empty = "
-                         "$REPRO_COARSE_STRATEGY or dense — "
-                         "multilevel pairs with --krylov fgmres; see "
-                         "docs/performance.md)")
     ps.add_argument("--coarse-space", default="",
                     help="which coarse space is built (geneo, extended, "
                          "nicolaides; empty = $REPRO_COARSE_SPACE, or "

@@ -13,16 +13,6 @@ from .coarse import (
     elect_masters_uniform,
     split_ranges,
 )
-from .coarse_strategies import (
-    CoarseSolveStrategy,
-    DenseStrategy,
-    MultilevelCoarseSolve,
-    MultilevelStrategy,
-    SparseStrategy,
-    get_strategy,
-    register_strategy,
-    strategy_names,
-)
 from .deflation import DeflationSpace
 from .geneo import (
     GeneoResult,
@@ -62,14 +52,6 @@ __all__ = [
     "elect_masters_uniform",
     "elect_masters_nonuniform",
     "split_ranges",
-    "CoarseSolveStrategy",
-    "DenseStrategy",
-    "SparseStrategy",
-    "MultilevelStrategy",
-    "MultilevelCoarseSolve",
-    "get_strategy",
-    "register_strategy",
-    "strategy_names",
     "compute_deflation",
     "extended_deflation",
     "nicolaides_deflation",

@@ -14,9 +14,9 @@ setup is done, and the E assembly already computed ``T_i = A_i W_i``
 (block column i of A·Z).  A-DEF1 therefore evaluates the
 ``(I − A Z E⁻¹ Zᵀ) u`` term through :meth:`CoarseOperator.az_dot` —
 per-setup cached A·Z — instead of recomputing ``A (Z y)`` with a global
-SpMV plus an extra overlap exchange every iteration.  The pre-PR path is
-kept as :meth:`TwoLevelADEF1.apply_reference` and the equivalence is
-asserted (≤ 1e-14 relative) in ``tests/test_solve_apply.py``.
+SpMV plus an extra overlap exchange every iteration.  The uncached
+path lives in ``tests/test_solve_apply.py`` as an oracle, and the
+equivalence is asserted there (≤ 1e-14 relative).
 """
 
 from __future__ import annotations
@@ -58,13 +58,6 @@ class TwoLevelADEF1:
         W = coarse.space.z_dot_block(Y)
         V = U - coarse.AZ @ Y
         return self.ras.apply_block(V) + W
-
-    def apply_reference(self, u: np.ndarray) -> np.ndarray:
-        """The pre-cache path: recompute ``A (Z y)`` with a global SpMV
-        (one extra overlap exchange) — kept to pin the fast path down."""
-        w = self.coarse.correction_blocks(u)
-        v = u - self.dec.matvec(w)
-        return self.ras.apply(v) + w
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.apply(u)

@@ -12,8 +12,11 @@ mirrors the subdomain connectivity (fig. 4: blue diagonal blocks need no
 communication, red off-diagonal blocks one neighbour transfer).
 
 This module is the sequential driver (used by the high-level solver and
-the tests); :mod:`repro.core.coarse_spmd` runs algorithms 1–2 literally
-over the simulated MPI with the master–slave distribution.
+the tests); :func:`repro.core.spmd.assemble_coarse_spmd` runs algorithms
+1–2 literally over the simulated MPI with the master–slave distribution.
+E is solved exactly: a direct factorization (the paper's direct solve
+on the masters), degrading to a truncated pseudo-inverse when the
+deflation vectors make E singular.
 """
 
 from __future__ import annotations
@@ -24,11 +27,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..common.errors import CoarseSolveError, DecompositionError
-from ..dd.decomposition import Decomposition
 from ..parallel import ParallelConfig, parallel_map
 from ..solvers import factorize
 from .coarse_strategies import get_strategy
-from .coarse_strategies.direct import _PseudoInverse, coo_from_blocks
 from .deflation import DeflationSpace
 
 
@@ -83,10 +84,40 @@ def coarse_blocks(space: DeflationSpace,
     return coarse_blocks_with_T(space, parallel)[0]
 
 
-#: historical COO assembly route, kept under its old private name (the
-#: ``dense`` strategy's bitwise-reference path lives in
-#: :mod:`repro.core.coarse_strategies.direct`)
-_matrix_from_blocks = coo_from_blocks
+def csr_from_blocks(space: DeflationSpace,
+                    blocks: dict[tuple[int, int], np.ndarray],
+                    ) -> sp.csr_matrix:
+    """E in canonical CSR straight from the neighbour-block structure.
+
+    Block (i, j) exists iff j ∈ Ō_i and the block keys are unique, so
+    the rows are written in one pass: row block i holds the
+    horizontally-stacked blocks of its sorted neighbour columns — no
+    per-entry COO coordinates and no duplicate-summing pass.
+    """
+    off = space.offsets
+    nu = space.nu
+    by_row: dict[int, list[int]] = {}
+    for (i, j) in blocks:
+        by_row.setdefault(i, []).append(j)
+    indptr = np.zeros(space.m + 1, dtype=np.int64)
+    indices_parts: list[np.ndarray] = []
+    data_parts: list[np.ndarray] = []
+    for i in range(len(nu)):
+        js = sorted(by_row.get(i, ()))
+        if not js:                   # pragma: no cover - empty subdomain
+            indptr[off[i] + 1:off[i + 1] + 1] = indptr[off[i]]
+            continue
+        cols = np.concatenate(
+            [np.arange(off[j], off[j + 1]) for j in js])
+        vals = np.hstack([blocks[(i, j)] for j in js])
+        row_nnz = cols.size
+        for r in range(int(nu[i])):
+            indices_parts.append(cols)
+            data_parts.append(vals[r])
+            indptr[off[i] + r + 1] = indptr[off[i] + r] + row_nnz
+    return sp.csr_matrix(
+        (np.concatenate(data_parts), np.concatenate(indices_parts),
+         indptr), shape=(space.m, space.m))
 
 
 def assemble_coarse_matrix(space: DeflationSpace,
@@ -94,7 +125,7 @@ def assemble_coarse_matrix(space: DeflationSpace,
                            ) -> sp.csr_matrix:
     """Sparse E from the block dictionary (global CSR, the masters'
     distributed format in §3.1.1 — here sequential)."""
-    return _matrix_from_blocks(space, coarse_blocks(space, parallel))
+    return csr_from_blocks(space, coarse_blocks(space, parallel))
 
 
 def assemble_az(space: DeflationSpace,
@@ -162,6 +193,69 @@ def split_ranges(masters: np.ndarray, N: int) -> list[np.ndarray]:
 
 
 # ----------------------------------------------------------------------
+# Factorization of E
+# ----------------------------------------------------------------------
+
+class _PseudoInverse:
+    """Truncated-decomposition solve for (near-)singular E.
+
+    Symmetric E goes through ``eigh``.  Nonsymmetric E — where an
+    eigendecomposition with real ascending eigenvalues does not exist —
+    goes through the SVD instead: ``E⁺ = V_k diag(1/s_k) U_kᵀ`` over the
+    singular values above the rank cut.  For symmetric positive
+    semi-definite E the two coincide.
+    """
+
+    def __init__(self, E, rank_tol: float):
+        import scipy.linalg as sla
+        from ..common.validation import matrix_is_symmetric
+        self.n = E.shape[0]
+        if matrix_is_symmetric(E):
+            w, V = sla.eigh(E.toarray())
+            cut = rank_tol * max(float(w.max()), 1e-300)
+            keep = w > cut
+            self.rank = int(keep.sum())
+            self._U = self._V = V[:, keep]
+            self._winv = 1.0 / w[keep]
+        else:
+            U, s, Vt = sla.svd(E.toarray())
+            cut = rank_tol * max(float(s.max()), 1e-300)
+            keep = s > cut
+            self.rank = int(keep.sum())
+            self._U = U[:, keep]
+            self._V = Vt[keep].T
+            self._winv = 1.0 / s[keep]
+        self.nnz_factor = self.n * self.rank
+
+    def solve(self, b):
+        c = self._U.T @ b
+        scaled = self._winv[:, None] * c if c.ndim == 2 else self._winv * c
+        return self._V @ scaled
+
+
+def robust_direct(E: sp.csr_matrix, backend: str, rank_tol: float):
+    """Factorise E directly, falling back to a rank-revealing
+    pseudo-inverse.
+
+    Deflation vectors can be (numerically) linearly dependent — e.g.
+    near-kernel clusters living inside an overlap are found by both
+    neighbouring subdomains — which makes E singular.  A factorization
+    of a singular E may silently produce garbage, so one probe solve
+    checks it.  The theory only needs E⁻¹ on range(Zᵀ·), so a truncated
+    decomposition is the correct and stable generalisation (what MUMPS'
+    null-pivot detection provides the paper)."""
+    try:
+        fact = factorize(E, backend)
+        w = np.random.default_rng(0).standard_normal(E.shape[0])
+        resid = np.linalg.norm(E @ fact.solve(w) - w)
+        if np.isfinite(resid) and resid <= 1e-6 * np.linalg.norm(w):
+            return fact
+    except Exception:  # noqa: BLE001 - any backend failure → fallback
+        pass
+    return _PseudoInverse(E, rank_tol)
+
+
+# ----------------------------------------------------------------------
 # Coarse operator driver
 # ----------------------------------------------------------------------
 
@@ -171,16 +265,14 @@ class CoarseOperator:
     Setup also caches the ``T_i = A_i W_i`` blocks already computed for
     the E assembly, both per subdomain (:attr:`T`) and as the assembled
     sparse :attr:`AZ` — so the solve phase computes ``A Z y`` with one
-    spmv (or per-subdomain gemvs + overlap exchange in the distributed
-    form, :meth:`az_dot_blocks`) instead of a global SpMV every
-    iteration.
+    spmv instead of a global SpMV every iteration.
 
     Parameters
     ----------
     space:
         The deflation space (defines Z and the block structure of E).
     backend:
-        Local factorization backend for E.
+        Factorization method for E (see :func:`repro.solvers.factorize`).
     parallel:
         Executor for the per-subdomain assembly gemms.
     recorder:
@@ -191,15 +283,12 @@ class CoarseOperator:
     kernels:
         Optional :class:`~repro.kernels.KernelBackend`.  The coarse
         solve routes through it — the ``compiled`` backend substitutes
-        a probed compiled LDLᵀ mirror of a symmetric E (the strategy's
+        a probed compiled LDLᵀ mirror of a symmetric E (the fp64
         factorization stays as the fallback and the resilience path).
     strategy:
-        How E y = w is solved — a registry name (``"dense"``,
-        ``"sparse"``, ``"multilevel"``) or a ready
-        :class:`~repro.core.coarse_strategies.CoarseSolveStrategy`
-        instance.  ``None`` resolves ``$REPRO_COARSE_STRATEGY`` and
-        falls back to the bitwise-reference ``dense`` strategy.  See
-        :mod:`repro.core.coarse_strategies`.
+        Accepted only so the benchmark harness (``benchmarks/e2e``)
+        keeps running until its refresh (ROADMAP item 1): checked by
+        :func:`repro.core.coarse_strategies.get_strategy`, then unread.
     """
 
     def __init__(self, space: DeflationSpace, *, backend: str = "superlu",
@@ -208,38 +297,31 @@ class CoarseOperator:
                  recorder=None, kernels=None, strategy=None):
         from ..kernels import default_backend
         from ..obs.recorder import NULL_RECORDER
+        get_strategy(strategy)
         self.space = space
         self.kernels = default_backend() if kernels is None else kernels
         self.recorder = NULL_RECORDER if recorder is None else recorder
-        #: the :class:`~repro.core.coarse_strategies.CoarseSolveStrategy`
-        self.strategy = get_strategy(strategy)
-        self._backend = backend
         with self.recorder.span("assemble_E"):
             blocks, T = coarse_blocks_with_T(space, parallel)
-            self.E = self.strategy.assemble(space, blocks)
+            self.E = csr_from_blocks(space, blocks)
         #: cached T_i = A_i W_i blocks (block column i of A·Z)
         self.T = T
         with self.recorder.span("assemble_AZ"):
             #: assembled sparse A·Z — fixed once the deflation space is
             #: built
             self.AZ = assemble_az(space, T)
-        self.rank_deficient = False
         self._rank_tol = rank_tol
         with self.recorder.span("factorize_E"):
-            self.factorization = self.strategy.build(self, backend,
-                                                     rank_tol)
+            self.factorization = robust_direct(self.E, backend, rank_tol)
+        self.rank_deficient = isinstance(self.factorization, _PseudoInverse)
         #: optional kernel mirror of the coarse solve from the kernel
-        #: backend (``None`` → use :attr:`factorization` directly;
-        #: inexact strategies never get a mirror)
+        #: backend (``None`` → use :attr:`factorization` directly)
         self._kernel_solve = self.kernels.make_coarse_solve(self)
         self.solves = 0
         if self.recorder.enabled:
             self.recorder.gauge("coarse.dim", self.E.shape[0])
             self.recorder.gauge("coarse.nnz", self.E.nnz)
             self.recorder.gauge("coarse.nnz_factor", self.nnz_factor())
-            self.recorder.event("coarse.strategy", attrs={
-                "name": self.strategy.name,
-                "exact": bool(getattr(self.factorization, "exact", True))})
         #: optional :class:`~repro.krylov.SolveProfiler` — when attached,
         #: every coarse solve is timed under its ``coarse_solve`` phase
         self.profiler = None
@@ -252,30 +334,6 @@ class CoarseOperator:
         self.resilient = False
         #: number of times the pseudo-inverse fallback was taken
         self.fallbacks = 0
-
-    def _robust_factorize(self, backend: str, rank_tol: float):
-        """Factorise E, falling back to a rank-revealing pseudo-inverse.
-
-        Deflation vectors can be (numerically) linearly dependent — e.g.
-        near-kernel clusters living inside an overlap are found by both
-        neighbouring subdomains — which makes E singular.  The theory
-        only needs E⁻¹ on range(Zᵀ·), so a truncated eigendecomposition
-        is the correct and stable generalisation (what MUMPS' null-pivot
-        detection provides the paper)."""
-        try:
-            fact = factorize(self.E, backend)
-            # quick health check: a factorization of a singular E may
-            # silently produce garbage — verify one solve
-            rng = np.random.default_rng(0)
-            w = rng.standard_normal(self.E.shape[0])
-            y = fact.solve(w)
-            resid = np.linalg.norm(self.E @ y - w)
-            if np.isfinite(resid) and resid <= 1e-6 * np.linalg.norm(w):
-                return fact
-        except Exception:  # noqa: BLE001 - any backend failure → fallback
-            pass
-        self.rank_deficient = True
-        return _PseudoInverse(self.E, rank_tol)
 
     @property
     def dim(self) -> int:
@@ -299,11 +357,6 @@ class CoarseOperator:
         return self._checked_solve(w)
 
     def _checked_solve(self, w: np.ndarray) -> np.ndarray:
-        if self.injector is not None and hasattr(self.factorization,
-                                                 "injector"):
-            # inexact handles run an inner iteration of their own — give
-            # them the injector so level-2 faults land inside the solve
-            self.factorization.injector = self.injector
         y = self.factorization.solve(w) if self._kernel_solve is None \
             else self._kernel_solve(w)
         if self.injector is not None:
@@ -319,43 +372,22 @@ class CoarseOperator:
         return self._fallback_solve(w)
 
     def _fallback_solve(self, w: np.ndarray) -> np.ndarray:
-        """§resilience fallback chain, strategy-aware: drop the kernel
-        mirror (if one produced the garbage) and retry the strategy's
-        fp64 factorization; replace an inexact (multilevel)
-        solve with a sparse-direct rebuild; then rebuild E's solve as a
-        truncated pseudo-inverse; a still-broken solve raises
-        :class:`~repro.common.errors.CoarseSolveError` so the solver can
-        degrade to one-level-only mode."""
+        """§resilience fallback chain: drop the kernel mirror (if one
+        produced the garbage) and retry the fp64 factorization; then
+        rebuild E's solve as a truncated pseudo-inverse; a still-broken
+        solve raises :class:`~repro.common.errors.CoarseSolveError` so
+        the solver can degrade to one-level-only mode."""
         if self._kernel_solve is not None:
             self.fallbacks += 1
             self._kernel_solve = None
             warnings.warn(
                 "kernel mirror of the coarse solve produced non-finite "
                 "values; dropping it and retrying fp64 on the "
-                "strategy's factorization",
+                "factorization of E",
                 RuntimeWarning, stacklevel=3)
             if self.recorder.enabled:
                 self.recorder.event("recovery.coarse_fallback",
                                     attrs={"to": "fp64"})
-            y = self.factorization.solve(w)
-            if self.injector is not None:
-                y = self.injector.fire("coarse_solve", 0, y)
-            if np.all(np.isfinite(y)):
-                return y
-        if not getattr(self.factorization, "exact", True):
-            # an inexact (multilevel) solve went bad — a killed level-2
-            # rank or an unlucky inner breakdown; rebuild the coarse
-            # solve as an exact sparse-direct factorization of the same E
-            self.fallbacks += 1
-            warnings.warn(
-                "multilevel coarse solve produced non-finite values; "
-                "rebuilding as a sparse-direct factorization",
-                RuntimeWarning, stacklevel=3)
-            if self.recorder.enabled:
-                self.recorder.event("recovery.coarse_fallback",
-                                    attrs={"to": "sparse_direct"})
-            self.factorization = get_strategy("sparse").build(
-                self, self._backend, self._rank_tol)
             y = self.factorization.solve(w)
             if self.injector is not None:
                 y = self.injector.fire("coarse_solve", 0, y)
@@ -385,13 +417,6 @@ class CoarseOperator:
         y = self.solve(w)
         return self.space.z_dot(y)
 
-    def correction_blocks(self, u: np.ndarray) -> np.ndarray:
-        """Per-block (pre-assembly) form of :meth:`correction` — the
-        distributed/SPMD semantics, kept as the reference path."""
-        w = self.space.zt_dot_blocks(u)
-        y = self.solve(w)
-        return self.space.z_dot_blocks(y)
-
     def correction_block(self, U: np.ndarray) -> np.ndarray:
         """Z E⁻¹ Zᵀ U for a column block — still one coarse solve."""
         W = self.space.zt_dot_block(U)
@@ -402,14 +427,6 @@ class CoarseOperator:
         """A Z y via the cached :attr:`AZ` — one spmv, zero global SpMVs
         and zero overlap exchanges (the A-DEF1 fast path)."""
         return self.AZ @ y
-
-    def az_dot_blocks(self, y: np.ndarray) -> np.ndarray:
-        """Distributed form of :meth:`az_dot`: per-subdomain gemvs
-        ``T_i y_i`` followed by the overlap sum Σ_i R_iᵀ(T_i y_i) — the
-        communication of one neighbour exchange, still no global SpMV."""
-        off = self.space.offsets
-        t_list = [Ti @ y[off[i]:off[i + 1]] for i, Ti in enumerate(self.T)]
-        return self.space.dec.combine_raw(t_list)
 
     def nnz_factor(self) -> int:
         """Fill of the factors — the paper's nnz(E⁻¹) column (fig. 11)."""

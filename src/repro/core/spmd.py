@@ -232,9 +232,9 @@ class SpmdRank:
     def adef1(self, u: np.ndarray, h_local: np.ndarray | None = None):
         """(P⁻¹_A-DEF1 u)_i — one coarse solve, reused in both terms:
         w = Z y as in :meth:`correction`, and A·w = A·Z·y from the cached
-        T — the distributed
-        :meth:`~repro.core.coarse.CoarseOperator.az_dot_blocks`, one
-        exchange and no local SpMV."""
+        T — the distributed form of
+        :meth:`~repro.core.coarse.CoarseOperator.az_dot`, one exchange
+        and no local SpMV."""
         y, h_global = self.coarse_solve(u, h_local)
         w = self.exchange(self.W @ y, _TAG_Z)
         v = u - self.exchange(self.T @ y, _TAG_X)

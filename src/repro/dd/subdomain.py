@@ -63,10 +63,20 @@ class Subdomain:
 def _assemble_on(Ke: np.ndarray, cell_dofs: np.ndarray
                  ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Scatter *Ke* over the dofs its cells touch, numbered in ascending
-    global order; returns the matrix and those global dof ids."""
-    dofs = np.unique(cell_dofs)
-    return scatter_matrix(Ke, np.searchsorted(dofs, cell_dofs),
-                          dofs.size), dofs
+    global order; returns the matrix and those global dof ids.
+
+    The ids are non-negative integers, so a mask over their span finds
+    the touched ones in ascending order and a lookup array numbers
+    them — ``np.unique`` and ``np.searchsorted`` without a sort."""
+    lo = cell_dofs.min()
+    span = cell_dofs - lo
+    touched = np.zeros(int(span.max()) + 1, dtype=bool)
+    touched[span] = True
+    local = np.flatnonzero(touched)
+    lookup = np.empty(touched.size, dtype=np.int32)
+    lookup[local] = np.arange(local.size, dtype=np.int32)
+    dofs = (local + lo).astype(cell_dofs.dtype, copy=False)
+    return scatter_matrix(Ke, lookup[span], local.size), dofs
 
 
 def assemble_free(problem: Problem, Ke: np.ndarray, cell_dofs: np.ndarray

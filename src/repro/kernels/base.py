@@ -101,11 +101,7 @@ class KernelBackend:
     def make_coarse_solve(self, coarse):
         """A kernel mirror of the coarse solve for *coarse* (a
         :class:`~repro.core.coarse.CoarseOperator`), or ``None`` to use
-        its strategy's factorization directly.  Implementations must
-        return ``None`` when ``coarse.strategy`` is inexact
-        (``exact=False``, e.g. the multilevel strategy) — the solve
-        handle is then an inner iteration, not a factorization a mirror
-        could replace."""
+        its factorization directly."""
         return None
 
     # ------------------------------------------------------------------

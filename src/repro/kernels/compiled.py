@@ -43,15 +43,9 @@ LOCAL_PROBE_TOL = 1e-8
 def make_ldl_coarse_solve(backend, coarse):
     """A compiled LDLᵀ solve routine mirroring a
     :class:`~repro.core.coarse.CoarseOperator`'s E, or ``None`` when E
-    is rank-deficient, the coarse strategy is inexact, E is
-    nonsymmetric, the factorization fails, or the probe rejects it (the
-    caller then keeps its own solve path).  Inexact strategies
-    (multilevel) never get a mirror: their handle is an inner iteration
-    on E, not a triangular solve that an LDLᵀ of E could substitute
-    for."""
+    is rank-deficient or nonsymmetric, the factorization fails, or the
+    probe rejects it (the caller then keeps its own solve path)."""
     if coarse.rank_deficient:
-        return None
-    if not getattr(coarse.strategy, "exact", True):
         return None
     if not matrix_is_symmetric(coarse.E):
         # nonsymmetric E must never reach SuperLU symmetric mode — the
@@ -68,7 +62,7 @@ def make_ldl_coarse_solve(backend, coarse):
     if not probe_factorization(fact, coarse.E, LOCAL_PROBE_TOL):
         backend.notes.append(
             "coarse LDL probe failed; coarse solve stays on the "
-            "strategy's factorization")
+            "fp64 factorization of E")
         if backend.recorder.enabled:
             backend.recorder.add("kernel.compiled_fallbacks", 1)
         return None

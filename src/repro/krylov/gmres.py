@@ -293,8 +293,8 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
 def fgmres(A, b: np.ndarray, **options) -> KrylovResult:
     """Flexible GMRES (Saad 1993): :func:`gmres` — same options, same
     loop — keeping the preconditioned basis ``Z_j = M_j v_j`` and
-    updating ``x += Z y``, so *M* may change between applications (e.g.
-    an inexactly solved coarse problem, §3.4's closing concern).
+    updating ``x += Z y``, so *M* may change between applications (a
+    variable preconditioner).
     """
     return gmres(A, b, _flexible=True, **options)
 

@@ -1,11 +1,6 @@
 """Performance modelling: α–β machine model + scaling harness."""
 
-from .coarse_costs import (
-    CoarseCost,
-    coarse_problem_shape,
-    scaleout_table,
-    strategy_cost,
-)
+from .coarse_costs import CoarseCost, strategy_cost
 from .extrapolate import PowerLaw, StrongScalingModel, fit_power_law
 from .machine import CURIE, MachineModel
 from .scaling import (
@@ -20,9 +15,7 @@ from .scaling import (
 
 __all__ = [
     "CoarseCost",
-    "coarse_problem_shape",
     "strategy_cost",
-    "scaleout_table",
     "PowerLaw",
     "StrongScalingModel",
     "fit_power_law",

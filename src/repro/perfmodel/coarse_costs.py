@@ -1,11 +1,10 @@
-"""Per-strategy cost models of the coarse solve at paper scale.
+"""Cost models of the coarse solve at paper scale.
 
 The substrate runs N = 8..64 subdomains; the paper runs N = 256..8192,
-where the coarse dimension N·ν makes the *strategy* of the E-solve the
-scaling story (§3.4's closing concern).  This module prices one coarse
-solve (and the one-off factorization) for each registered strategy on
-the α–β machine model, so the benchmarks can print measured-vs-modelled
-tables and extend them to the paper's N:
+where the coarse dimension N·ν makes the factorization of E the scaling
+story (§3.4's closing concern).  This module prices one coarse solve
+(and the one-off factorization) on the α–β machine model for the two
+direct solvers the paper's masters could run:
 
 ``dense``
     Fan-out block Cholesky over the P masters
@@ -18,14 +17,9 @@ tables and extend them to the paper's N:
     fill of the factors follows the subdomain connectivity graph, so
     factorization flops ≈ Σ_r fill(r)² ≈ nnz(L)²/dim and each solve is
     4·nnz(L) flops plus the same gather/scatter plumbing.
-``multilevel``
-    A fixed budget of inner FGMRES iterations, each one SpMV with E
-    (2·nnz(E)), the level-2 RAS local solves (4·nnz(L₂)) and a tiny
-    dense level-2 correction — O(inner · nnz(E)) work with only
-    log-latency collectives, i.e. one more level of the same algorithm.
 
-Absolute seconds inherit the CURIE calibration; only shape conclusions
-(crossovers, scaling exponents) are meaningful.
+Both are models: absolute seconds inherit the CURIE calibration, and
+only shape conclusions (crossovers, scaling exponents) are meaningful.
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ class CoarseCost:
 
     strategy: str
     N: int
-    #: masters (level-2 parts for ``multilevel``)
+    #: masters
     P: int
     dim: int
     nnz: int
@@ -61,26 +55,19 @@ class CoarseCost:
                 self.bytes_solve]
 
 
-def coarse_problem_shape(N: int, nev: int,
-                         neighbors: float = 6.0) -> tuple[int, int]:
-    """(dim, nnz) of E at decomposition size *N*: dim = N·ν and one
-    ν×ν block per subdomain pair in contact (fig. 4 sparsity)."""
-    dim = N * nev
-    nnz = int(round(N * (neighbors + 1.0) * nev * nev))
-    return dim, nnz
-
-
 def strategy_cost(strategy: str, N: int, nev: int, *,
                   num_masters: int | None = None, neighbors: float = 6.0,
-                  fill: float = 12.0, inner_iters: int = 8,
+                  fill: float = 12.0,
                   model: MachineModel = CURIE) -> CoarseCost:
-    """Price the coarse solve of *strategy* at decomposition size *N*.
+    """Price the coarse solve of *strategy* (``dense`` or ``sparse``)
+    at decomposition size *N*.
 
-    *fill* is nnz(L)/nnz(E) of the sparse factorization (measured values
-    from the benchmarks can be passed in to calibrate); *inner_iters*
-    the multilevel inner-FGMRES budget.
+    E has dim = N·ν and one ν×ν block per subdomain pair in contact
+    (fig. 4 sparsity).  *fill* is nnz(L)/nnz(E) of the sparse
+    factorization (measured values can be passed in to calibrate).
     """
-    dim, nnz = coarse_problem_shape(N, nev, neighbors)
+    dim = N * nev
+    nnz = int(round(N * (neighbors + 1.0) * nev * nev))
     P = num_masters if num_masters else max(1, N // 8)
     nnz_l = int(round(fill * nnz))
     if strategy == "dense":
@@ -104,37 +91,5 @@ def strategy_cost(strategy: str, N: int, nev: int, *,
         bytes_solve = 2.0 * 8.0 * dim
         return CoarseCost(strategy, N, P, dim, nnz, nnz_l,
                           t_fact, t_solve, bytes_solve)
-    if strategy == "multilevel":
-        # level-2 parts own ~N/P blocks each; δ=1 halo ≈ doubles them
-        loc_nnz = 2.0 * fill * nnz / P
-        t_fact = model.compute(2.0 * loc_nnz * loc_nnz
-                               / max(dim / P, 1.0)) \
-            + model.collective("allreduce", 8.0 * P, P)
-        per_iter = model.compute((2.0 * nnz + 4.0 * fill * nnz
-                                  + 2.0 * dim * P / max(P, 1)) / P) \
-            + model.collective("allreduce", 64.0, P) \
-            + model.p2p(8.0 * nev * neighbors, messages=int(neighbors))
-        t_solve = inner_iters * per_iter
-        bytes_solve = inner_iters * (64.0 * np.log2(max(P, 2))
-                                     + 8.0 * nev * neighbors)
-        return CoarseCost(strategy, N, P, dim, nnz,
-                          int(round(2.0 * fill * nnz)) + P * P,
-                          t_fact, t_solve, bytes_solve)
     raise ValueError(f"unknown strategy {strategy!r} "
-                     f"(expected dense/sparse/multilevel)")
-
-
-def scaleout_table(Ns, nev: int, *,
-                   strategies=("dense", "sparse", "multilevel"),
-                   neighbors: float = 6.0, fill: float = 12.0,
-                   inner_iters: int = 8,
-                   model: MachineModel = CURIE) -> list[CoarseCost]:
-    """Modelled coarse-solve costs for every (N, strategy) pair — the
-    scale-out half of the measured-vs-modelled table (paper N ≥ 1024)."""
-    out = []
-    for N in Ns:
-        for s in strategies:
-            out.append(strategy_cost(s, int(N), nev, neighbors=neighbors,
-                                     fill=fill, inner_iters=inner_iters,
-                                     model=model))
-    return out
+                     f"(expected dense/sparse)")

@@ -425,7 +425,7 @@ def test_backend_accuracy_and_iteration_budget(request, monkeypatch, case,
 
 def test_fp32_coarse_fallback_on_nonfinite(small_problem):
     """A non-finite kernel-mirror coarse solve must drop the mirror and
-    retry the strategy's fp64 factorization before escalating to the
+    retry the fp64 factorization of E before escalating to the
     pseudo-inverse."""
     mesh, form = small_problem
     solver = SchwarzSolver(mesh, form, num_subdomains=6, nev=6,

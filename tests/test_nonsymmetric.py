@@ -276,12 +276,12 @@ class TestKernelBackends:
 
 
 # ----------------------------------------------------------------------
-# Coarse-strategy fallbacks (eigh -> SVD)
+# Coarse-solve fallbacks (eigh -> SVD)
 # ----------------------------------------------------------------------
 
 class TestCoarseStrategyFallbacks:
     def test_pseudoinverse_svd_route(self):
-        from repro.core.coarse_strategies.direct import _PseudoInverse
+        from repro.core.coarse import _PseudoInverse
         rng = np.random.default_rng(7)
         M = rng.standard_normal((12, 12))
         M[:, -1] = M[:, 0]              # make it singular
@@ -294,7 +294,7 @@ class TestCoarseStrategyFallbacks:
         assert np.allclose(x, ref, atol=1e-8)
 
     def test_pseudoinverse_symmetric_unchanged(self):
-        from repro.core.coarse_strategies.direct import _PseudoInverse
+        from repro.core.coarse import _PseudoInverse
         rng = np.random.default_rng(8)
         Q = np.linalg.qr(rng.standard_normal((10, 10)))[0]
         w = np.concatenate([np.linspace(1.0, 5.0, 8), [0.0, 0.0]])
@@ -307,15 +307,8 @@ class TestCoarseStrategyFallbacks:
 
     def test_sparse_strategy_on_nonsymmetric_solve(self, mesh20):
         form = convdiff_form(mesh20)
-        rep = SchwarzSolver(mesh20, form, num_subdomains=6, nev=6,
-                            coarse_strategy="sparse").solve(tol=1e-7)
-        assert rep.converged
-
-    def test_multilevel_strategy_on_nonsymmetric_solve(self, mesh20):
-        form = convdiff_form(mesh20)
-        rep = SchwarzSolver(mesh20, form, num_subdomains=8, nev=4,
-                            krylov="fgmres",
-                            coarse_strategy="multilevel").solve(tol=1e-7)
+        rep = SchwarzSolver(mesh20, form, num_subdomains=6,
+                            nev=6).solve(tol=1e-7)
         assert rep.converged
 
 

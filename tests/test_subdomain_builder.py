@@ -189,3 +189,25 @@ def test_builder_matches_submesh_reference(case, delta):
         assert (sub.A_geneo is None) == (A_geneo is None)
         if A_geneo is not None:
             assert _frob_rel(sub.A_geneo, A_geneo) <= 1e-14
+
+
+@pytest.mark.parametrize("case", ["diffusion2d-P3", "diffusion3d-P2"])
+def test_assemble_on_matches_unique(case):
+    """``_assemble_on`` numbers a subdomain's dofs by a mask over their
+    span; the ids and the matrix are bitwise those of ``np.unique`` and
+    ``np.searchsorted``."""
+    from repro.dd.subdomain import _assemble_on
+    from repro.fem.assembly import scatter_matrix
+    problem, N = CASES[case]()
+    part = partition_mesh(problem.mesh, N, seed=0)
+    cells, _ = grow_overlap(problem.mesh, part, 1, 2)
+    cell_dofs = problem.space.cell_dofs[cells]
+    Ke = problem.form.element_matrices(problem.space)[cells]
+    A, dofs = _assemble_on(Ke, cell_dofs)
+    ref_dofs = np.unique(cell_dofs)
+    ref = scatter_matrix(Ke, np.searchsorted(ref_dofs, cell_dofs),
+                         ref_dofs.size)
+    assert dofs.dtype == ref_dofs.dtype
+    assert np.array_equal(dofs, ref_dofs)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, attr), getattr(ref, attr))
