@@ -12,11 +12,11 @@
 Fast apply path: ``Q = Z E⁻¹ Zᵀ`` and ``AQ`` are fixed linear maps once
 setup is done, and the E assembly already computed ``T_i = A_i W_i``
 (block column i of A·Z).  A-DEF1 therefore evaluates the
-``(I − A Z E⁻¹ Zᵀ) u`` term through :meth:`CoarseOperator.az_dot` —
-per-setup cached A·Z — instead of recomputing ``A (Z y)`` with a global
-SpMV plus an extra overlap exchange every iteration.  The uncached
-path lives in ``tests/test_solve_apply.py`` as an oracle, and the
-equivalence is asserted there (≤ 1e-14 relative).
+``(I − A Z E⁻¹ Zᵀ) u`` term from those blocks
+(:meth:`CoarseOperator.deflate`, together with ``Z y``) instead of
+recomputing ``A (Z y)`` with a global SpMV every iteration.  The
+uncached path lives in ``tests/test_solve_apply.py`` as an oracle, and
+the equivalence is asserted there (≤ 1e-14 relative).
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ class TwoLevelADEF1:
         zero global SpMVs for the ``A Z E⁻¹ Zᵀ u`` term."""
         self.applications += 1
         coarse = self.coarse
-        y = coarse.solve(coarse.space.zt_dot(u))   # E⁻¹ Zᵀ u — 1 coarse solve
-        w = coarse.space.z_dot(y)                  # Z y (reused additively)
-        v = u - coarse.az_dot(y)                   # (I − A Z E⁻¹ Zᵀ) u
+        y = coarse.solve(coarse.zt_dot(u))   # E⁻¹ Zᵀ u — 1 coarse solve
+        w, v = coarse.deflate(u, y)          # Z y and (I − A Z E⁻¹ Zᵀ) u
         return self.ras.apply(v) + w
 
     def apply_block(self, U: np.ndarray) -> np.ndarray:
@@ -112,9 +111,8 @@ class TwoLevelBNN:
     def apply(self, u: np.ndarray) -> np.ndarray:
         self.applications += 1
         coarse = self.coarse
-        y = coarse.solve(coarse.space.zt_dot(u))
-        w = coarse.space.z_dot(y)
-        v = u - coarse.az_dot(y)               # (I − A Q) u, cached A·Z
+        y = coarse.solve(coarse.zt_dot(u))
+        w, v = coarse.deflate(u, y)            # Z y and (I − A Q) u
         z = self.one_level.apply(v)
         z = z - coarse.correction(self.dec.matvec(z))  # (I − Q A)
         return z + w

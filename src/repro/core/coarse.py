@@ -263,9 +263,11 @@ class CoarseOperator:
     """Assembled + factorised coarse operator with the §3.2 correction.
 
     Setup also caches the ``T_i = A_i W_i`` blocks already computed for
-    the E assembly, both per subdomain (:attr:`T`) and as the assembled
-    sparse :attr:`AZ` — so the solve phase computes ``A Z y`` with one
-    spmv instead of a global SpMV every iteration.
+    the E assembly (:attr:`T`), so the solve phase computes ``A Z y``
+    from them instead of with a global SpMV every iteration: in one pass
+    with ``Z y`` over the W_i and T_i blocks (:meth:`deflate`, compiled
+    backend), or as one spmv with the sparse :attr:`AZ`, assembled on
+    first use.
 
     Parameters
     ----------
@@ -277,14 +279,15 @@ class CoarseOperator:
         Executor for the per-subdomain assembly gemms.
     recorder:
         Optional :class:`repro.obs.Recorder` — records the assembly
-        steps as spans (``assemble_E``, ``assemble_AZ``,
-        ``factorize_E``) and counts every coarse solve under the
-        ``coarse_solves`` counter.
+        steps as spans (``assemble_E``, ``factorize_E``, and
+        ``assemble_AZ`` when :attr:`AZ` is first used) and counts every
+        coarse solve under the ``coarse_solves`` counter.
     kernels:
         Optional :class:`~repro.kernels.KernelBackend`.  The coarse
         solve routes through it — the ``compiled`` backend substitutes
         a probed compiled LDLᵀ mirror of a symmetric E (the fp64
-        factorization stays as the fallback and the resilience path).
+        factorization stays as the fallback and the resilience path) —
+        and so do the A-DEF1 transfers (:meth:`zt_dot`, :meth:`deflate`).
     strategy:
         Accepted only so the benchmark harness (``benchmarks/e2e``)
         keeps running until its refresh (ROADMAP item 1): checked by
@@ -306,10 +309,10 @@ class CoarseOperator:
             self.E = csr_from_blocks(space, blocks)
         #: cached T_i = A_i W_i blocks (block column i of A·Z)
         self.T = T
-        with self.recorder.span("assemble_AZ"):
-            #: assembled sparse A·Z — fixed once the deflation space is
-            #: built
-            self.AZ = assemble_az(space, T)
+        self._AZ: sp.csr_matrix | None = None
+        #: the kernel backend's coarse transfers from the W_i and T_i
+        #: blocks, or ``None`` for the assembled CSR Z, Zᵀ and A·Z
+        self._transfers = self.kernels.fuse_deflation(space, T)
         self._rank_tol = rank_tol
         with self.recorder.span("factorize_E"):
             self.factorization = robust_direct(self.E, backend, rank_tol)
@@ -338,6 +341,16 @@ class CoarseOperator:
     @property
     def dim(self) -> int:
         return int(self.E.shape[0])
+
+    @property
+    def AZ(self) -> sp.csr_matrix:
+        """Sparse A·Z, assembled from the T blocks on first use (the
+        block applies, BNN and the reference transfers need it; the
+        compiled A-DEF1 apply does not)."""
+        if self._AZ is None:
+            with self.recorder.span("assemble_AZ"):
+                self._AZ = assemble_az(self.space, self.T)
+        return self._AZ
 
     def solve(self, w: np.ndarray) -> np.ndarray:
         """y = E⁻¹ w (forward elimination + back substitution, §3.2 step 2).
@@ -425,8 +438,24 @@ class CoarseOperator:
 
     def az_dot(self, y: np.ndarray) -> np.ndarray:
         """A Z y via the cached :attr:`AZ` — one spmv, zero global SpMVs
-        and zero overlap exchanges (the A-DEF1 fast path)."""
+        and zero overlap exchanges."""
         return self.AZ @ y
+
+    def zt_dot(self, u: np.ndarray) -> np.ndarray:
+        """Zᵀu (§3.2 step 1) — the kernel backend's pass over the W_i
+        blocks, bitwise the CSR product of the reference."""
+        if self._transfers is None:
+            return self.space.zt_dot(u)
+        return self._transfers.zt_dot(u)
+
+    def deflate(self, u: np.ndarray, y: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """``(Z y, u − A Z y)`` — the two coarse terms of A-DEF1 for a
+        coarse solution *y*: one pass over the W_i and T_i blocks on a
+        compiled backend, the CSR Z and A·Z on the reference."""
+        if self._transfers is None:
+            return self.space.z_dot(y), u - self.AZ @ y
+        return self._transfers.deflate(u, y)
 
     def nnz_factor(self) -> int:
         """Fill of the factors — the paper's nnz(E⁻¹) column (fig. 11)."""

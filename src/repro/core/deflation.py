@@ -2,12 +2,12 @@
 
 Z = [R₁ᵀW₁ R₂ᵀW₂ … R_NᵀW_N] is block-sparse: one dense ``n_i × ν_i``
 block per subdomain, rows overlapping where dofs are duplicated.  The
-sequential driver assembles Z (and its transpose) as CSR **once** so
-every ``Zᵀu`` / ``Zy`` of the solve phase is a single spmv instead of an
-N-element Python loop of gemvs; the per-block forms (``zt_dot_blocks``,
-``z_dot_blocks``, ``z_dot_local``) remain the distributed semantics used
-by the SPMD/simmpi driver and the reference-path tests (§3.2 steps 1
-and 3 literally).
+space assembles Z (and its transpose) as CSR on first use, so every
+``Zᵀu`` / ``Zy`` through it is a single spmv instead of an N-element
+Python loop of gemvs.  The A-DEF1 apply of a compiled kernel backend
+needs neither: it reads the W_i blocks in place
+(:meth:`repro.core.coarse.CoarseOperator.deflate`), as each SPMD rank
+does with its own block (:class:`repro.core.spmd.SpmdRank`).
 """
 
 from __future__ import annotations
@@ -112,39 +112,6 @@ class DeflationSpace:
                 f"got {Y.shape}")
         Y = as_float64_block(Y, "z_dot_block", DecompositionError)
         return self.Z @ Y
-
-    # ------------------------------------------------------------------
-    # Per-block (distributed) forms — the SPMD semantics and the
-    # reference path of the solve-phase perf tests
-    # ------------------------------------------------------------------
-    def zt_dot_blocks(self, u: np.ndarray) -> np.ndarray:
-        """Per-block Zᵀu: each subdomain computes W_iᵀ u_i (gemv); the
-        concatenation is the coarse right-hand side."""
-        dec = self.dec
-        parts = [W.T @ u[s.dofs]
-                 for W, s in zip(self.W, dec.subdomains)]
-        return np.concatenate(parts)
-
-    def z_dot_blocks(self, y: np.ndarray) -> np.ndarray:
-        """Per-block Zy: z_i = W_i y_i locally, then the overlap sum
-        Σ_j R_iR_jᵀ z_j — same communication as one matvec (eq. 12)."""
-        if y.shape != (self.m,):
-            raise DecompositionError(
-                f"coarse vector must have shape ({self.m},), got {y.shape}")
-        dec = self.dec
-        z_list = [W @ y[self.offsets[i]:self.offsets[i + 1]]
-                  for i, W in enumerate(self.W)]
-        summed = dec.exchange_sum(z_list)
-        # read off the global vector: every subdomain now holds R_i(Zy);
-        # stitch through the partition of unity (values agree on overlaps)
-        return dec.combine(summed)
-
-    def z_dot_local(self, y: np.ndarray) -> list[np.ndarray]:
-        """Distributed form of :meth:`z_dot`: returns R_i(Zy) per rank."""
-        dec = self.dec
-        z_list = [W @ y[self.offsets[i]:self.offsets[i + 1]]
-                  for i, W in enumerate(self.W)]
-        return dec.exchange_sum(z_list)
 
     # ------------------------------------------------------------------
     def explicit_z(self) -> sp.csr_matrix:

@@ -56,11 +56,12 @@ class OneLevelRAS:
         #: docs/resilience.md)
         self.disabled: set[int] = set()
         self._surrogate: dict[int, np.ndarray] = {}
-        #: fused per-subdomain apply handles (gather → solve → weighted
-        #: scatter-add) — ``None`` on the reference backend or for the
-        #: unweighted ASM variant, which keep the legacy path
+        #: the kernel backend's one-call apply over every subdomain
+        #: (gather → solve → weighted scatter-add) — ``None`` on the
+        #: reference backend or for the unweighted ASM variant, which
+        #: keep the per-subdomain path
         self._fused = self.kernels.fuse_ras(
-            self.factorizations, dec.subdomains) if self.weighted else None
+            self.factorizations, dec) if self.weighted else None
 
     def disable(self, i: int) -> None:
         """Replace subdomain *i*'s exact local solve by a Jacobi
@@ -85,22 +86,17 @@ class OneLevelRAS:
         order, so the result is bitwise independent of the executor.
 
         With a fused kernel backend (``compiled``), a serial executor
-        and no resilience machinery armed, the whole application runs
-        as N fused gather→solve→scatter passes with no intermediate
-        local vectors; any injector, disabled subdomain or parallel
-        executor falls back to the legacy solve-then-combine path.
+        and no resilience machinery armed, the whole application is one
+        compiled call — gather → solve → weighted scatter per subdomain,
+        no intermediate local vectors; any injector, disabled subdomain
+        or parallel executor falls back to the solve-then-combine path.
         """
         self.applications += 1
         facts, subs = self.factorizations, self.dec.subdomains
         injector, disabled = self.injector, self.disabled
         if (self._fused is not None and injector is None and not disabled
                 and self.parallel.backend == "serial"):
-            # the fused gather reads raw fp64 memory — guarantee layout
-            r = np.ascontiguousarray(r, dtype=np.float64)
-            out = np.zeros(self.dec.problem.num_free)
-            for h in self._fused:
-                h.apply_weighted(r, out)
-            return out
+            return self._fused.apply(r)
 
         def local_solve(i: int) -> np.ndarray:
             if i in disabled:
@@ -129,11 +125,7 @@ class OneLevelRAS:
         if (self._fused is not None and self.injector is None
                 and not self.disabled
                 and self.parallel.backend == "serial"):
-            R = np.ascontiguousarray(R)
-            out = np.zeros((self.dec.problem.num_free, R.shape[1]))
-            for h in self._fused:
-                h.apply_weighted_block(R, out)
-            return out
+            return self._fused.apply_block(R)
 
         def local_solve(i: int) -> np.ndarray:
             if i in self.disabled:

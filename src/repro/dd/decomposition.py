@@ -60,12 +60,11 @@ class Decomposition:
         Optional :class:`repro.obs.Recorder` — records the build steps
         as spans (``build_subdomains`` with ``element_matrices`` inside
         it, ``apply_scaling``, ``build_exchange``, ``detect_symmetry``)
-        and counts every distributed matvec under the ``matvecs``
-        counter.
+        and counts every matvec under the ``matvecs`` counter.
     kernels:
         Optional :class:`~repro.kernels.KernelBackend` owning the
-        overlap-exchange kernel; ``None`` uses the reference ``numpy``
-        backend (identical operations).
+        matvec pass and the overlap-exchange kernel; ``None`` uses the
+        reference ``numpy`` backend (identical operations).
     """
 
     def __init__(self, problem: Problem, part: np.ndarray, delta: int = 1,
@@ -87,8 +86,8 @@ class Decomposition:
         self.num_subdomains = int(part.max()) + 1
         self.recorder = NULL_RECORDER if recorder is None else recorder
         self.kernels = default_backend() if kernels is None else kernels
-        #: number of distributed A·x products performed (the solve-phase
-        #: SpMV counter — the fast A-DEF1 apply path must not move it)
+        #: number of A·x products performed (the solve-phase SpMV
+        #: counter — the fast A-DEF1 apply path must not move it)
         self.matvecs = 0
         with self.recorder.span("build_subdomains"):
             self._build_subdomains()
@@ -98,6 +97,9 @@ class Decomposition:
             self._build_exchange()
         with self.recorder.span("detect_symmetry"):
             self._detect_symmetry()
+        #: the kernel backend's one-call matvec over the subdomain
+        #: arrays, or ``None`` for the reference loop
+        self._fused = self.kernels.fuse_matvec(self)
 
     # ------------------------------------------------------------------
     def _detect_symmetry(self) -> None:
@@ -242,7 +244,7 @@ class Decomposition:
         return out
 
     # ------------------------------------------------------------------
-    # Neighbour exchange and the distributed matvec of eq. (5)
+    # Neighbour exchange (eq. 5's communication) and the matvec
     # ------------------------------------------------------------------
     def exchange_sum(self, x_list: list[np.ndarray]) -> list[np.ndarray]:
         """y_i = Σ_{j ∈ Ō_i} R_i R_jᵀ x_j  (the j = i term is x_i itself).
@@ -254,46 +256,43 @@ class Decomposition:
         """
         return self.kernels.exchange_sum(self.subdomains, x_list)
 
-    def matvec_local(self, x_list: list[np.ndarray]) -> list[np.ndarray]:
-        """(Ax)_i from purely local data: eq. (5),
-        (Ax)_i = Σ_j R_i R_jᵀ A_j D_j x_j, for consistent inputs x_i = R_i x.
-        """
-        t = [s.A_dir @ (s.d * xi) for s, xi in zip(self.subdomains, x_list)]
-        return self.exchange_sum(t)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Global A·x computed through the distributed algorithm (never
-        touching the assembled global matrix); returns the reduced vector.
+        """Global A·x from the subdomain data alone (the global matrix
+        is never touched); returns the reduced vector.
 
-        Consistency: the result is read off subdomain-local pieces using
-        the partition of unity (each dof's value is identical on every
-        subdomain owning it, so any weighted combination returns it)."""
+        In process, eq. (5)'s ``combine(exchange_sum(A_j D_j x_j))`` is
+        the operator ``Σ_j R_jᵀ A_j D_j R_j x`` — the partition of unity
+        sums to one — so it is computed as that sum, in one pass over
+        the subdomains: the kernel backend's compiled pass
+        (:meth:`~repro.kernels.KernelBackend.fuse_matvec`) or the
+        reference loop, bitwise equal.  The SPMD ranks keep the
+        exchange (:meth:`repro.core.spmd.SpmdRank.matvec`)."""
         self.matvecs += 1
         if self.recorder.enabled:
             self.recorder.add("matvecs", 1)
-        y_list = self.matvec_local(self.restrict(x))
-        return self.combine(y_list)
+        if self._fused is not None:
+            return self._fused.apply(x)
+        out = np.zeros(self.problem.num_free)
+        for s in self.subdomains:
+            out[s.dofs] += s.A_dir @ (s.d * x[s.dofs])
+        return out
 
     def matvec_block(self, X: np.ndarray) -> np.ndarray:
-        """Blocked distributed A·X for a column block ``X (n_free, k)``.
-
-        Same algorithm as :meth:`matvec` run on all k columns at once:
-        one csrmm per subdomain instead of k csrmvs, and one neighbour
-        exchange for the whole block (``exchange_sum`` is shape-generic —
-        the shared-dof row indexing broadcasts over columns).  Counts as
-        k distributed matvecs.
+        """Blocked A·X for a column block ``X (n_free, k)``: the
+        :meth:`matvec` sum with one csrmm per subdomain instead of k
+        csrmvs; column c is bitwise ``matvec(X[:, c])``.  Counts as k
+        matvecs.
         """
         X = as_float64_block(X, "matvec_block", DecompositionError)
         k = X.shape[1]
         self.matvecs += k
         if self.recorder.enabled:
             self.recorder.add("matvecs", k)
-        subs = self.subdomains
-        t = [s.A_dir @ (s.d[:, None] * X[s.dofs, :]) for s in subs]
-        summed = self.exchange_sum(t)
+        if self._fused is not None:
+            return self._fused.apply_block(X)
         out = np.zeros((self.problem.num_free, k))
-        for s, yi in zip(subs, summed):
-            out[s.dofs] += s.d[:, None] * yi
+        for s in self.subdomains:
+            out[s.dofs] += s.A_dir @ (s.d[:, None] * X[s.dofs])
         return out
 
     # ------------------------------------------------------------------

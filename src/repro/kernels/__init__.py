@@ -1,8 +1,8 @@
 """Pluggable kernel backends for the solve-phase hot loops.
 
 The registry owns the kernels that dominate the apply/matvec spans —
-RAS local solves and scatter/gather, Gram–Schmidt orthogonalisation,
-the coarse solve and the overlap exchange — behind one
+RAS local solves, the matvec, the coarse transfers, Gram–Schmidt
+orthogonalisation, the coarse solve and the overlap exchange — behind one
 :class:`~repro.kernels.base.KernelBackend` interface with two built-in
 implementations, both in fp64:
 
@@ -10,8 +10,9 @@ implementations, both in fp64:
     The reference: the historical inlined operations, with SPD local
     factors as symmetric-mode LDLᵀ.
 ``compiled``
-    Compiled (ctypes/C) LDLᵀ and LU solves and fused RAS
-    gather/scatter.  The default wherever its C library builds; without
+    Compiled (ctypes/C) LDLᵀ and LU solves, and the RAS apply, the
+    matvec and the A-DEF1 coarse transfers as one compiled call each
+    over all subdomains.  The default wherever its C library builds; without
     a C toolchain the default is ``numpy``.
 
 Select per solver (``SchwarzSolver(kernel_backend="numpy")``), per

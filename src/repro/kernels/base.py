@@ -2,8 +2,9 @@
 
 This class owns the hot kernels that used to be inlined across the
 stack — Gram–Schmidt orthogonalisation (vector MGS and blocked CGS2),
-the RAS local-solve scatter/gather, the local factorizations, the
-coarse solve and the overlap exchange — and performs **exactly
+the local factorizations, the coarse solve and the overlap exchange,
+plus the seams through which a compiled backend runs the RAS apply, the
+matvec and the coarse transfers as one pass each — and performs **exactly
 the operations the inlined code performed, in the same order**
 (pinned by the regression tests in ``tests/test_kernels.py``).  The
 one deliberate departure from the pre-registry arithmetic: local
@@ -47,7 +48,12 @@ class KernelBackend:
         ``V[:, j+1]``.  Returns the number of global synchronisations.
 
         Reference: modified Gram–Schmidt through preallocated buffers —
-        one batched reduction plus one norm (2 syncs).
+        j+1 dependent dot products, each reading the vector the previous
+        one updated, then one norm.  The returned count is 2: the
+        synchronisations of the distributed classical Gram–Schmidt this
+        step stands for (one batched reduction of all j+1 dots plus the
+        norm, :meth:`repro.core.spmd.SpmdRank.ortho_step`), not the
+        j+2 reductions MGS would need on distributed vectors.
         """
         for i in range(j + 1):
             H[i, j] = float(w @ V[:, i])
@@ -88,11 +94,31 @@ class KernelBackend:
         caller declares the matrix SPD."""
         return factorize(A, method, shift=shift, spd=spd)
 
-    def fuse_ras(self, factorizations, subdomains):
-        """Fused per-subdomain apply handles for the serial RAS hot
-        path, or ``None`` to keep the legacy solve-then-combine path
-        (the reference backend always returns ``None`` — the legacy
-        path *is* the reference)."""
+    def fuse_ras(self, factorizations, dec):
+        """One object applying the weighted RAS sum
+        ``Σ_i R_iᵀ D_i A_i⁻¹ R_i`` of *dec*'s subdomains with these
+        *factorizations* (``apply(r)``, ``apply_block(R)``) for the
+        serial hot path, or ``None`` to keep the per-subdomain
+        solve-then-combine path (the reference backend always returns
+        ``None`` — that path *is* the reference)."""
+        return None
+
+    # ------------------------------------------------------------------
+    # Whole-operator passes of the solve phase
+    # ------------------------------------------------------------------
+    def fuse_matvec(self, dec):
+        """One object applying ``A x = Σ_j R_jᵀ A_j D_j R_j x`` over
+        *dec*'s subdomains (``apply(x)``, ``apply_block(X)``), or
+        ``None``: :meth:`repro.dd.Decomposition.matvec` then runs its
+        reference loop, which is what the reference backend does."""
+        return None
+
+    def fuse_deflation(self, space, T):
+        """One object computing the A-DEF1 coarse transfers from the
+        deflation blocks ``space.W`` and ``T_i = A_i W_i`` — ``zt_dot(u)``
+        and ``deflate(u, y) = (Z y, u − A Z y)`` — or ``None``: the
+        :class:`~repro.core.coarse.CoarseOperator` then uses the
+        assembled CSR Z, Zᵀ and A·Z (the reference)."""
         return None
 
     # ------------------------------------------------------------------

@@ -4,10 +4,12 @@ Full double precision everywhere — numerically interchangeable with the
 reference backend, whose local factors are the same SuperLU factors
 (symmetric-mode LDLᵀ for SPD locals, an LU ordered on ``Aᵀ + A`` for
 the others) — but each local factor is exported once to raw CSC arrays
-and the SuperLU object dropped, the RAS local solves apply it through
-the compiled C kernels with fused permutation/gather/scatter, and the
-coarse solve of a symmetric E runs through the same compiled LDLᵀ
-(:func:`make_ldl_coarse_solve`).
+and the SuperLU object dropped, and the solve-phase operators run as
+one compiled call each over all subdomains (:mod:`.fused`): the RAS
+apply (gather → LDLᵀ/LU solve → weighted scatter), the matvec
+``Σ_j R_jᵀ A_j D_j R_j x`` and the A-DEF1 coarse transfers from the
+W_i and T_i blocks.  The coarse solve of a symmetric E runs through
+the same compiled LDLᵀ (:func:`make_ldl_coarse_solve`).
 
 This backend is only constructible when the kernel library builds (a C
 toolchain on the host).  It is then the default of
@@ -28,11 +30,10 @@ from .base import KernelBackend
 from .csrc import load_library
 from .factor import (
     ExportedLUFactorization,
-    FusedLocalApply,
-    PlainLocalApply,
     SymmetricLDLFactorization,
     probe_factorization,
 )
+from .fused import FusedDeflation, FusedMatvec, FusedRAS, reads_in_place
 
 #: an fp64 LDLᵀ of an SPD matrix or a pivoted LU should be near machine
 #: precision; a loose miss means the exported factor is not to be trusted
@@ -77,7 +78,7 @@ def make_ldl_coarse_solve(backend, coarse):
 
 
 class CompiledBackend(KernelBackend):
-    """fp64 backend with compiled LDLᵀ/LU solves and fused RAS apply."""
+    """fp64 backend with compiled LDLᵀ/LU solves and one-call passes."""
 
     name = "compiled"
     precision = "fp64"
@@ -116,15 +117,23 @@ class CompiledBackend(KernelBackend):
         # the reference backend's fp64 factor (A is already shifted)
         return factorize(A, method, spd=spd)
 
-    def fuse_ras(self, factorizations, subdomains):
-        handles = []
-        for fact, s in zip(factorizations, subdomains):
-            if isinstance(fact, (SymmetricLDLFactorization,
-                                 ExportedLUFactorization)):
-                handles.append(FusedLocalApply(fact, s.dofs, s.d))
-            else:
-                handles.append(PlainLocalApply(fact, s.dofs, s.d))
-        return handles
+    def fuse_ras(self, factorizations, dec):
+        if not reads_in_place(dec.subdomains):
+            return None
+        return FusedRAS(self._lib, factorizations, dec.subdomains,
+                        dec.problem.num_free)
+
+    def fuse_matvec(self, dec):
+        if not FusedMatvec.supports(dec.subdomains):
+            return None
+        return FusedMatvec(self._lib, dec.subdomains, dec.problem.num_free)
+
+    def fuse_deflation(self, space, T):
+        subs = space.dec.subdomains
+        if not reads_in_place(subs):
+            return None
+        return FusedDeflation(self._lib, subs, space.W, T, space.offsets,
+                              space.dec.problem.num_free)
 
     def make_coarse_solve(self, coarse):
         return make_ldl_coarse_solve(self, coarse)

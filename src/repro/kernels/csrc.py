@@ -1,15 +1,17 @@
 """Build-time detection and loading of the compiled kernel library.
 
 The compiled kernels are a single small C translation unit (triangular
-LDLᵀ and LU solves over CSC factors plus fused gather/scatter) compiled with
-the system C compiler at first use and loaded through :mod:`ctypes` —
+LDLᵀ and LU solves over CSC factors, and the whole-operator passes of the
+solve phase: the RAS apply, the matvec and the coarse transfers, each
+one call over all subdomains) compiled with the system C compiler at
+first use and loaded through :mod:`ctypes` —
 no Cython, cffi or build-system dependency, mirroring the graceful
 shell-out-with-fallback pattern of external native bridges.  When no
 toolchain is present (or the compile fails) :func:`load_library` returns
 ``None`` and the callers degrade to the pure-scipy implementations.
 
 The shared object is cached under ``src/repro/kernels/_build/`` (or
-``$REPRO_KERNEL_CACHE``) keyed by a hash of the source + compiler, so
+``$REPRO_KERNEL_CACHE``) keyed by a hash of the source, compiler and flags, so
 the compile cost is paid once per environment.
 """
 
@@ -102,23 +104,9 @@ void lu_solve_block_f64(const int32_t *lp, const int32_t *li,
     }
 }
 
-/* dst[k] = src[idx[k]] — fused permutation gather */
-void gather_f64(const double *src, const int64_t *idx,
-                double *dst, int32_t n) {
-    int32_t k;
-    for (k = 0; k < n; ++k) dst[k] = src[idx[k]];
-}
-
-/* out[idx[k]] += d[k] * z[k] — fused weight + scatter-accumulate */
-void scatter_add_f64(double *out, const int64_t *idx, const double *d,
-                     const double *z, int32_t n) {
-    int32_t k;
-    for (k = 0; k < n; ++k) out[idx[k]] += d[k] * z[k];
-}
-
-/* Block variants over m right-hand sides stored row-major (the m values
+/* ldl_solve_f64 over m right-hand sides stored row-major (the m values
    of one row contiguous): one sweep over L serves every column, and
-   each column sees exactly the operations of the vector kernels. */
+   each column sees exactly the operations of the vector kernel. */
 void ldl_solve_block_f64(const int32_t *indptr, const int32_t *rowind,
                          const double *lval, const double *dinv,
                          double *x, int32_t n, int32_t m) {
@@ -147,25 +135,194 @@ void ldl_solve_block_f64(const int32_t *indptr, const int32_t *rowind,
     }
 }
 
-void gather_block_f64(const double *src, const int64_t *idx,
-                      double *dst, int32_t n, int32_t m) {
-    int32_t k, c;
-    for (k = 0; k < n; ++k)
-        for (c = 0; c < m; ++c)
-            dst[(int64_t) k * m + c] = src[idx[k] * m + c];
+
+/* ------------------------------------------------------------------
+   Whole-operator passes.  Each takes a table of per-subdomain pointers
+   into the arrays the Python objects already hold (nothing is copied)
+   and walks the subdomains in index order, doing for each exactly the
+   operations of the per-subdomain reference, in the same order.
+   ------------------------------------------------------------------ */
+
+/* RAS: out += sum_i R_i^T D_i A_i^-1 R_i r over the exported factors.
+   meta holds (kind, n) per subdomain, kind 0 an LDL^T, 1 an LU; tab
+   holds RAS_SLOTS pointers per subdomain: dofs, d, piv_in, piv_out,
+   then L indptr, L rowind, L values and dinv (LDL^T) or U indptr,
+   U rowind, U values (LU).  z is a workspace of max n. */
+#define RAS_SLOTS 10
+
+static void ras_solve(int32_t kind, const void *const *p, double *z,
+                      int32_t n) {
+    if (kind == 0)
+        ldl_solve_f64(p[4], p[5], p[6], p[7], z, n);
+    else
+        lu_solve_f64(p[4], p[5], p[6], p[7], p[8], p[9], z, n);
 }
 
-void scatter_add_block_f64(double *out, const int64_t *idx,
-                           const double *d, const double *z,
-                           int32_t n, int32_t m) {
-    int32_t k, c;
-    for (k = 0; k < n; ++k)
-        for (c = 0; c < m; ++c)
-            out[idx[k] * m + c] += d[k] * z[(int64_t) k * m + c];
+static void ras_solve_block(int32_t kind, const void *const *p, double *z,
+                            int32_t n, int32_t m) {
+    if (kind == 0)
+        ldl_solve_block_f64(p[4], p[5], p[6], p[7], z, n, m);
+    else
+        lu_solve_block_f64(p[4], p[5], p[6], p[7], p[8], p[9], z, n, m);
+}
+
+void ras_apply_f64(int32_t nsub, const int32_t *meta,
+                   const void *const *tab, const double *r, double *out,
+                   double *z) {
+    int32_t s, k;
+    for (s = 0; s < nsub; ++s) {
+        const int32_t kind = meta[2 * s], n = meta[2 * s + 1];
+        const void *const *p = tab + (int64_t) s * RAS_SLOTS;
+        const int64_t *dofs = p[0], *pin = p[2], *pout = p[3];
+        const double *d = p[1];
+        for (k = 0; k < n; ++k) z[k] = r[dofs[pin[k]]];
+        ras_solve(kind, p, z, n);
+        for (k = 0; k < n; ++k) {
+            const int64_t q = pout[k];
+            out[dofs[q]] += d[q] * z[k];
+        }
+    }
+}
+
+/* ras_apply_f64 over m right-hand sides stored row-major; each column
+   sees exactly the operations of the vector pass. */
+void ras_apply_block_f64(int32_t nsub, const int32_t *meta,
+                         const void *const *tab, const double *r,
+                         double *out, double *z, int32_t m) {
+    int32_t s, k, c;
+    for (s = 0; s < nsub; ++s) {
+        const int32_t kind = meta[2 * s], n = meta[2 * s + 1];
+        const void *const *p = tab + (int64_t) s * RAS_SLOTS;
+        const int64_t *dofs = p[0], *pin = p[2], *pout = p[3];
+        const double *d = p[1];
+        for (k = 0; k < n; ++k) {
+            const double *src = r + dofs[pin[k]] * m;
+            double *dst = z + (int64_t) k * m;
+            for (c = 0; c < m; ++c) dst[c] = src[c];
+        }
+        ras_solve_block(kind, p, z, n, m);
+        for (k = 0; k < n; ++k) {
+            const int64_t q = pout[k];
+            const double dq = d[q];
+            double *o = out + dofs[q] * m;
+            const double *zk = z + (int64_t) k * m;
+            for (c = 0; c < m; ++c) o[c] += dq * zk[c];
+        }
+    }
+}
+
+/* Matvec: out += sum_i R_i^T A_i D_i R_i x.  meta holds n per
+   subdomain; tab holds A_i's CSR indptr, indices and values, then dofs
+   and d.  t is a workspace of max n. */
+#define MATVEC_SLOTS 5
+
+void matvec_f64(int32_t nsub, const int32_t *meta, const void *const *tab,
+                const double *x, double *out, double *t) {
+    int32_t s, k, jj;
+    for (s = 0; s < nsub; ++s) {
+        const int32_t n = meta[s];
+        const void *const *p = tab + (int64_t) s * MATVEC_SLOTS;
+        const int32_t *ap = p[0], *aj = p[1];
+        const double *av = p[2], *d = p[4];
+        const int64_t *dofs = p[3];
+        for (k = 0; k < n; ++k) t[k] = d[k] * x[dofs[k]];
+        for (k = 0; k < n; ++k) {
+            double acc = 0.0;
+            for (jj = ap[k]; jj < ap[k + 1]; ++jj) acc += av[jj] * t[aj[jj]];
+            out[dofs[k]] += acc;
+        }
+    }
+}
+
+/* matvec_f64 over m right-hand sides stored row-major; t holds n * m
+   and acc m values. */
+void matvec_block_f64(int32_t nsub, const int32_t *meta,
+                      const void *const *tab, const double *x, double *out,
+                      double *t, double *acc, int32_t m) {
+    int32_t s, k, jj, c;
+    for (s = 0; s < nsub; ++s) {
+        const int32_t n = meta[s];
+        const void *const *p = tab + (int64_t) s * MATVEC_SLOTS;
+        const int32_t *ap = p[0], *aj = p[1];
+        const double *av = p[2], *d = p[4];
+        const int64_t *dofs = p[3];
+        for (k = 0; k < n; ++k) {
+            const double dk = d[k];
+            const double *xk = x + dofs[k] * m;
+            double *tk = t + (int64_t) k * m;
+            for (c = 0; c < m; ++c) tk[c] = dk * xk[c];
+        }
+        for (k = 0; k < n; ++k) {
+            double *o = out + dofs[k] * m;
+            for (c = 0; c < m; ++c) acc[c] = 0.0;
+            for (jj = ap[k]; jj < ap[k + 1]; ++jj) {
+                const double a = av[jj];
+                const double *tj = t + (int64_t) aj[jj] * m;
+                for (c = 0; c < m; ++c) acc[c] += a * tj[c];
+            }
+            for (c = 0; c < m; ++c) o[c] += acc[c];
+        }
+    }
+}
+
+/* Coarse transfers over the deflation blocks.  meta holds (n, nu,
+   offset) per subdomain; tab holds dofs, W_i and T_i = A_i W_i (both
+   row-major n x nu).  Per coarse column and per dof the sums run in
+   the storage order of the CSR forms of Z^T, Z and A Z. */
+#define COARSE_SLOTS 3
+
+/* out = Z^T u: out[offset + c] = sum_k W_i[k, c] u[dofs[k]] */
+void zt_dot_f64(int32_t nsub, const int64_t *meta, const void *const *tab,
+                const double *u, double *out) {
+    int32_t s;
+    int64_t k, c;
+    for (s = 0; s < nsub; ++s) {
+        const int64_t n = meta[3 * s], nu = meta[3 * s + 1];
+        const void *const *p = tab + (int64_t) s * COARSE_SLOTS;
+        const int64_t *dofs = p[0];
+        const double *W = p[1];
+        double *o = out + meta[3 * s + 2];
+        for (c = 0; c < nu; ++c) o[c] = 0.0;
+        for (k = 0; k < n; ++k) {
+            const double uk = u[dofs[k]];
+            const double *wk = W + k * nu;
+            for (c = 0; c < nu; ++c) o[c] += wk[c] * uk;
+        }
+    }
+}
+
+/* w = Z y and v = u - A Z y in one pass over the W_i and T_i blocks. */
+void deflate_f64(int32_t nsub, const int64_t *meta, const void *const *tab,
+                 const double *u, const double *y, double *w, double *v,
+                 int64_t n_free) {
+    int32_t s;
+    int64_t k, c, i;
+    for (i = 0; i < n_free; ++i) w[i] = v[i] = 0.0;
+    for (s = 0; s < nsub; ++s) {
+        const int64_t n = meta[3 * s], nu = meta[3 * s + 1];
+        const void *const *p = tab + (int64_t) s * COARSE_SLOTS;
+        const int64_t *dofs = p[0];
+        const double *W = p[1], *T = p[2];
+        const double *ys = y + meta[3 * s + 2];
+        for (k = 0; k < n; ++k) {
+            const int64_t q = dofs[k];
+            const double *wk = W + k * nu, *tk = T + k * nu;
+            double a = w[q], b = v[q];
+            for (c = 0; c < nu; ++c) {
+                a += wk[c] * ys[c];
+                b += tk[c] * ys[c];
+            }
+            w[q] = a;
+            v[q] = b;
+        }
+    }
+    for (i = 0; i < n_free; ++i) v[i] = u[i] - v[i];
 }
 """
 
-_CFLAGS = ["-O3", "-fPIC", "-shared"]
+#: ``-ffp-contract=off``: no fused multiply-add, so every product and sum
+#: rounds as in the numpy/scipy reference the kernels must match bitwise
+_CFLAGS = ["-O3", "-ffp-contract=off", "-fPIC", "-shared"]
 
 _lib = None
 _lib_error: str | None = None
@@ -191,12 +348,16 @@ def _source_tag(compiler: str) -> str:
     h = hashlib.sha256()
     h.update(_SOURCE.encode())
     h.update(compiler.encode())
+    h.update(" ".join(_CFLAGS).encode())
     return h.hexdigest()[:16]
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     p = ctypes.POINTER
     i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
+    # the whole-operator passes take raw addresses (``ndarray.ctypes.
+    # data``): one int per argument instead of a ``data_as`` conversion
+    ptr = ctypes.c_void_p
     lib.ldl_solve_f64.argtypes = [p(i32), p(i32), p(f64), p(f64),
                                   p(f64), i32]
     lib.ldl_solve_block_f64.argtypes = [p(i32), p(i32), p(f64), p(f64),
@@ -205,15 +366,18 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
                                  p(f64), p(f64), i32]
     lib.lu_solve_block_f64.argtypes = [p(i32), p(i32), p(f64), p(i32),
                                        p(i32), p(f64), p(f64), i32, i32]
-    lib.gather_f64.argtypes = [p(f64), p(i64), p(f64), i32]
-    lib.gather_block_f64.argtypes = [p(f64), p(i64), p(f64), i32, i32]
-    lib.scatter_add_f64.argtypes = [p(f64), p(i64), p(f64), p(f64), i32]
-    lib.scatter_add_block_f64.argtypes = [p(f64), p(i64), p(f64), p(f64),
-                                          i32, i32]
+    lib.ras_apply_f64.argtypes = [i32, ptr, ptr, ptr, ptr, ptr]
+    lib.ras_apply_block_f64.argtypes = [i32, ptr, ptr, ptr, ptr, ptr, i32]
+    lib.matvec_f64.argtypes = [i32, ptr, ptr, ptr, ptr, ptr]
+    lib.matvec_block_f64.argtypes = [i32, ptr, ptr, ptr, ptr, ptr, ptr,
+                                     i32]
+    lib.zt_dot_f64.argtypes = [i32, ptr, ptr, ptr, ptr]
+    lib.deflate_f64.argtypes = [i32, ptr, ptr, ptr, ptr, ptr, ptr, i64]
     for fn in (lib.ldl_solve_f64, lib.ldl_solve_block_f64,
                lib.lu_solve_f64, lib.lu_solve_block_f64,
-               lib.gather_f64, lib.gather_block_f64,
-               lib.scatter_add_f64, lib.scatter_add_block_f64):
+               lib.ras_apply_f64, lib.ras_apply_block_f64,
+               lib.matvec_f64, lib.matvec_block_f64,
+               lib.zt_dot_f64, lib.deflate_f64):
         fn.restype = None
     return lib
 

@@ -1,4 +1,4 @@
-"""Exported local factorizations and fused RAS apply handles.
+"""Exported local factorizations.
 
 The paper's local solves are "factorise once, apply thousands of times".
 The ``compiled`` backend exploits two structural facts:
@@ -11,11 +11,11 @@ The ``compiled`` backend exploits two structural facts:
   giving an LU with about half the fill of COLAMD — the same factors
   the reference backend keeps;
 * the factor can be exported to raw CSC arrays once and re-applied by a
-  tight compiled loop (:mod:`.csrc`), fusing the permutations into
-  precomputed gather/scatter index arrays: L plus D⁻¹ for an LDLᵀ
-  (:class:`SymmetricLDLFactorization`), L and U for an LU
-  (:class:`ExportedLUFactorization`), all in fp64.  Exporting drops
-  SuperLU's supernodal storage, which holds explicit zeros.
+  tight compiled loop (:mod:`.csrc`), with the permutations folded into
+  the gather/scatter of the one-call RAS apply (:class:`~.fused.FusedRAS`):
+  L plus D⁻¹ for an LDLᵀ (:class:`SymmetricLDLFactorization`), L and U
+  for an LU (:class:`ExportedLUFactorization`), all in fp64.  Exporting
+  drops SuperLU's supernodal storage, which holds explicit zeros.
 
 An exported factor is validated by a probe solve before it is trusted
 (:func:`probe_factorization`); callers fall back to the reference fp64
@@ -192,78 +192,3 @@ def probe_factorization(fact, A, tol: float) -> bool:
         return False
     resid = float(np.linalg.norm(A @ x - b))
     return resid <= tol * float(np.linalg.norm(b))
-
-
-# ----------------------------------------------------------------------
-# Fused RAS apply handles: gather → local solve → weighted scatter-add
-# ----------------------------------------------------------------------
-
-class FusedLocalApply:
-    """One subdomain's RAS contribution as a single fused pass.
-
-    Precomputes ``dofs[piv_in]``, ``dofs[piv_out]`` and ``d[piv_out]``
-    so the permutations of the exported solve (one for an LDLᵀ, row and
-    column for an LU) are folded into the global gather/scatter index
-    arrays: ``apply_weighted`` gathers the global residual into its
-    workspace, solves in place, and scatter-accumulates ``D_i · x_i``
-    into the global output — no intermediate local vectors, no separate
-    permutation step.
-    """
-
-    def __init__(self, fact: _ExportedFactor, dofs: np.ndarray,
-                 d: np.ndarray):
-        lib = fact._lib
-        self.fact = fact
-        self.n = fact.n
-        dofs = np.asarray(dofs, dtype=np.int64)
-        self.gather_idx = np.ascontiguousarray(dofs[fact.piv_in])
-        self.scatter_idx = self.gather_idx \
-            if fact.piv_out is fact.piv_in \
-            else np.ascontiguousarray(dofs[fact.piv_out])
-        self.d_piv = np.ascontiguousarray(
-            np.asarray(d, dtype=np.float64)[fact.piv_out])
-        self._z = np.empty(self.n)
-        self._gather, self._scatter = lib.gather_f64, lib.scatter_add_f64
-        self._gather_block = lib.gather_block_f64
-        self._scatter_block = lib.scatter_add_block_f64
-        self._z_ptr = _ptr(self._z)
-        self._gidx_ptr = _ptr(self.gather_idx, ct.c_int64)
-        self._sidx_ptr = _ptr(self.scatter_idx, ct.c_int64)
-        self._d_ptr = _ptr(self.d_piv)
-        self._n_ct = ct.c_int32(self.n)
-
-    def apply_weighted(self, r: np.ndarray, out: np.ndarray) -> None:
-        """out += R_iᵀ D_i A_i⁻¹ R_i r (both global fp64 vectors)."""
-        self._gather(_ptr(r), self._gidx_ptr, self._z_ptr, self._n_ct)
-        self.fact.solve_permuted_inplace(self._z)
-        self._scatter(_ptr(out), self._sidx_ptr, self._d_ptr, self._z_ptr,
-                      self._n_ct)
-
-    def apply_weighted_block(self, R: np.ndarray, out: np.ndarray) -> None:
-        """:meth:`apply_weighted` for C-contiguous ``(N, m)`` fp64
-        blocks; each column bitwise equal to its vector apply."""
-        m = ct.c_int32(R.shape[1])
-        Z = np.empty((self.n, R.shape[1]))
-        z_ptr = _ptr(Z)
-        self._gather_block(_ptr(R), self._gidx_ptr, z_ptr, self._n_ct, m)
-        self.fact.solve_block_permuted_inplace(Z)
-        self._scatter_block(_ptr(out), self._sidx_ptr, self._d_ptr, z_ptr,
-                            self._n_ct, m)
-
-
-class PlainLocalApply:
-    """Fallback handle with the same interface, built on any
-    :class:`~repro.solvers.local.Factorization` (used when the fused
-    compiled path is unavailable or a probe rejected the exported
-    factor for this subdomain)."""
-
-    def __init__(self, fact, dofs: np.ndarray, d: np.ndarray):
-        self.fact = fact
-        self.dofs = dofs
-        self.d = d
-
-    def apply_weighted(self, r: np.ndarray, out: np.ndarray) -> None:
-        out[self.dofs] += self.d * self.fact.solve(r[self.dofs])
-
-    def apply_weighted_block(self, R: np.ndarray, out: np.ndarray) -> None:
-        out[self.dofs] += self.d[:, None] * self.fact.solve(R[self.dofs])

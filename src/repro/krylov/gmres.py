@@ -17,6 +17,8 @@ the Givens/orthogonalisation scratch vectors are allocated **once** per
 solve and reused across restarts; the modified-Gram–Schmidt updates run
 through preallocated buffers (``np.multiply``/``np.subtract`` with
 ``out=``), so the restart loop allocates nothing proportional to n·m.
+V (and the flexible basis Z) is column-major: a basis vector is one
+contiguous column.
 A :class:`~repro.krylov.SolveProfiler` times the ``matvec``, ``apply``
 and ``orthogonalization`` cost centres; the result carries the
 accumulated seconds in :attr:`KrylovResult.profile`.
@@ -172,11 +174,13 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     cycle = 0
     j_done = 0
 
-    # workspaces allocated once, reused across restarts
+    # workspaces allocated once, reused across restarts; the bases are
+    # column-major, so every basis vector — each Gram–Schmidt dot and
+    # update, the operator inputs, the x update — is contiguous memory
     m = restart
-    V = np.empty((n, m + 1))
+    V = np.empty((n, m + 1), order="F")
     # flexible: the preconditioned basis Z_j = M_j v_j (M may vary)
-    Z = np.empty((n, m)) if _flexible else None
+    Z = np.empty((n, m), order="F") if _flexible else None
     H = np.zeros((m + 1, m))
     # Givens rotations triangularise H in place; recycling needs the raw
     # Arnoldi Hessenberg, so keep an untouched copy when asked to
@@ -229,7 +233,7 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
                 Z[:, j] = M_mul(V[:, j])
                 w = A_mul(Z[:, j])
             # Gram–Schmidt through the kernel backend (reference: MGS,
-            # one batched reduction + one norm)
+            # counted as the 2 syncs of distributed classical GS)
             with prof.phase("orthogonalization"):
                 syncs += kern.ortho_step(V, w, H, j, scratch)
                 if H[j + 1, j] > 0:

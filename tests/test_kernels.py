@@ -42,10 +42,10 @@ from repro.kernels import (
 )
 from repro.kernels.csrc import load_library
 from repro.kernels.factor import (
-    FusedLocalApply,
     SymmetricLDLFactorization,
     probe_factorization,
 )
+from repro.kernels.fused import FusedRAS
 from repro.kernels.registry import _FACTORIES
 from repro.krylov import fgmres, gmres
 from repro.mesh import unit_square
@@ -292,15 +292,18 @@ def test_probe_factorization_rejects_garbage(rng):
 
 @pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
 def test_fused_local_apply_matches_plain(rng):
+    """One subdomain through the one-call RAS apply: the weighted
+    scatter of the exported factor's solve."""
+    from types import SimpleNamespace
     n_glob, n_loc = 120, 40
     A = _spd(n_loc, rng)
     dofs = rng.choice(n_glob, size=n_loc, replace=False).astype(np.int64)
     d = rng.random(n_loc)
     fact = SymmetricLDLFactorization(A, lib=load_library())
-    h = FusedLocalApply(fact, dofs, d)
+    ras = FusedRAS(load_library(), [fact],
+                   [SimpleNamespace(dofs=dofs, d=d)], n_glob)
     r = rng.standard_normal(n_glob)
-    out = np.zeros(n_glob)
-    h.apply_weighted(r, out)
+    out = ras.apply(r)
     ref = np.zeros(n_glob)
     ref[dofs] += d * fact.solve(r[dofs])
     assert np.allclose(out, ref, atol=1e-12 * np.abs(ref).max())
@@ -330,12 +333,192 @@ def test_fused_apply_block_matches_columns(request, rng, backend,
     and the exported LU locals of a convection–diffusion one."""
     dec = request.getfixturevalue(decomposition)
     ras = OneLevelRAS(dec, kernels=backend())
-    assert ras._fused is not None
-    assert all(isinstance(h, FusedLocalApply) for h in ras._fused)
+    assert isinstance(ras._fused, FusedRAS)
     R = rng.standard_normal((dec.problem.num_free, 5))
     P = ras.apply_block(R)
     for c in range(R.shape[1]):
         assert np.array_equal(P[:, c], ras.apply(R[:, c]))
+
+
+# ----------------------------------------------------------------------
+# One-call passes over the subdomain arrays (repro.kernels.fused)
+# ----------------------------------------------------------------------
+
+def per_subdomain_ras(facts, subs, R):
+    """Oracle: the weighted RAS apply one subdomain at a time — gather
+    through ``dofs[piv_in]``, in-place exported solve, scatter-add of
+    ``d[piv_out] · z`` at ``dofs[piv_out]`` (the per-subdomain fused
+    composition); a reference factor solves on ``R[dofs]``."""
+    out = np.zeros(R.shape)
+    for f, s in zip(facts, subs):
+        if not hasattr(f, "piv_in"):
+            d = s.d if R.ndim == 1 else s.d[:, None]
+            out[s.dofs] += d * f.solve(R[s.dofs])
+            continue
+        z = np.ascontiguousarray(R[s.dofs[f.piv_in]])
+        if R.ndim == 1:
+            f.solve_permuted_inplace(z)
+            out[s.dofs[f.piv_out]] += s.d[f.piv_out] * z
+        else:
+            f.solve_block_permuted_inplace(z)
+            out[s.dofs[f.piv_out]] += s.d[f.piv_out][:, None] * z
+    return out
+
+
+@pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
+@pytest.mark.parametrize("decomposition,kind", [
+    ("diffusion_decomposition", "SymmetricLDLFactorization"),
+    ("convdiff_decomposition", "ExportedLUFactorization"),
+], ids=["ldl", "lu"])
+def test_one_call_ras_bitwise_per_subdomain(request, rng, decomposition,
+                                            kind):
+    """The one-call RAS apply, vector and block, is bitwise the
+    per-subdomain composition — LDLᵀ locals of a diffusion problem and
+    LU locals of a convection–diffusion one."""
+    dec = request.getfixturevalue(decomposition)
+    ras = OneLevelRAS(dec, kernels=CompiledBackend())
+    facts, subs = ras.factorizations, dec.subdomains
+    assert {type(f).__name__ for f in facts} == {kind}
+    r = rng.standard_normal(dec.problem.num_free)
+    R = rng.standard_normal((dec.problem.num_free, 4))
+    assert np.array_equal(ras.apply(r), per_subdomain_ras(facts, subs, r))
+    assert np.array_equal(ras.apply_block(R),
+                          per_subdomain_ras(facts, subs, R))
+
+
+@pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
+def test_one_call_ras_keeps_rejected_subdomain_in_order(
+        diffusion_decomposition, rng):
+    """A subdomain whose export the probe rejected keeps the reference
+    factor and its place in the accumulation order."""
+    dec = diffusion_decomposition
+    facts = list(OneLevelRAS(dec, kernels=CompiledBackend()).factorizations)
+    facts[2] = factorize(dec.subdomains[2].A_dir, "superlu", spd=True)
+    fused = CompiledBackend().fuse_ras(facts, dec)
+    r = rng.standard_normal(dec.problem.num_free)
+    R = rng.standard_normal((dec.problem.num_free, 3))
+    assert np.array_equal(fused.apply(r),
+                          per_subdomain_ras(facts, dec.subdomains, r))
+    assert np.array_equal(fused.apply_block(R),
+                          per_subdomain_ras(facts, dec.subdomains, R))
+
+
+@pytest.mark.parametrize("decomposition", [
+    "diffusion_decomposition", "convdiff_decomposition",
+    "elasticity_decomposition"])
+def test_matvec_matches_global_matrix(request, rng, decomposition):
+    """Σ_j R_jᵀ A_j D_j R_j x is A x (the partition of unity sums to
+    one), to rounding."""
+    dec = request.getfixturevalue(decomposition)
+    x = rng.standard_normal(dec.problem.num_free)
+    ref = dec.problem.matrix() @ x
+    assert np.linalg.norm(dec.matvec(x) - ref) \
+        <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
+@pytest.mark.parametrize("decomposition", [
+    "diffusion_decomposition", "convdiff_decomposition",
+    "elasticity_decomposition"])
+def test_matvec_compiled_bitwise_numpy(request, rng, decomposition):
+    """The compiled matvec pass does the reference loop's operations in
+    its order: both backends are bitwise equal, and every column of a
+    block matvec is bitwise the vector matvec of that column."""
+    dec = request.getfixturevalue(decomposition)
+    assert dec.kernels.name == "numpy"
+    fused = CompiledBackend().fuse_matvec(dec)
+    assert fused is not None
+    x = rng.standard_normal(dec.problem.num_free)
+    X = rng.standard_normal((dec.problem.num_free, 3))
+    assert np.array_equal(fused.apply(x), dec.matvec(x))
+    Yc, Yn = fused.apply_block(X), dec.matvec_block(X)
+    assert np.array_equal(Yc, Yn)
+    for c in range(X.shape[1]):
+        assert np.array_equal(Yn[:, c], dec.matvec(X[:, c]))
+        assert np.array_equal(Yc[:, c], fused.apply(X[:, c]))
+
+
+def _stack(dec, kernels):
+    Ws = [compute_deflation(s, nev=4, seed=s.index).W
+          for s in dec.subdomains]
+    space = DeflationSpace(dec, Ws)
+    return space, CoarseOperator(space, kernels=kernels)
+
+
+@pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
+@pytest.mark.parametrize("decomposition", [
+    "diffusion_decomposition", "elasticity_decomposition"])
+def test_compiled_adef1_transfers_match_csr(request, rng, decomposition):
+    """The compiled A-DEF1 transfers from the W_i and T_i blocks against
+    the CSR Z, Zᵀ and A·Z of the reference: Zᵀu bitwise, Z y,
+    u − A Z y and the whole apply to 1e-14 — and the compiled apply
+    builds none of the CSR forms."""
+    from repro.core.adef import TwoLevelADEF1
+    dec = request.getfixturevalue(decomposition)
+    space_c, comp = _stack(dec, CompiledBackend())
+    space_n, ref = _stack(dec, KernelBackend())
+    ras = OneLevelRAS(dec, kernels=CompiledBackend())
+    u = rng.standard_normal(dec.problem.num_free)
+    assert np.array_equal(comp.zt_dot(u), space_n.Zt @ u)
+    y = rng.standard_normal(comp.dim)
+    (w, v), (w_ref, v_ref) = comp.deflate(u, y), ref.deflate(u, y)
+    assert np.linalg.norm(w - w_ref) <= 1e-14 * np.linalg.norm(w_ref)
+    assert np.linalg.norm(v - v_ref) <= 1e-14 * np.linalg.norm(v_ref)
+    got = TwoLevelADEF1(ras, comp).apply(u)
+    want = TwoLevelADEF1(ras, ref).apply(u)
+    # the coarse solves differ in rounding (compiled LDLᵀ mirror against
+    # SuperLU) and the intermediates are O(‖u‖), which the output of a
+    # good preconditioner may be far below
+    scale = max(np.linalg.norm(want), np.linalg.norm(u))
+    assert np.linalg.norm(got - want) <= 1e-14 * scale
+    assert space_c._Z is None and space_c._Zt is None and comp._AZ is None
+
+
+@pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
+def test_fused_passes_copy_no_subdomain_array():
+    """Building the three passes reads the factors, A_dir, W_i and T_i
+    in place: it allocates under 1 % of the factor and A_dir bytes (a
+    pass holds a pointer table of a few hundred bytes per subdomain)."""
+    import tracemalloc
+    mesh = unit_square(24)
+    form = DiffusionForm(degree=3, kappa=channels_and_inclusions(mesh,
+                                                                 seed=5))
+    dec = Decomposition(Problem(mesh, form, scaling="jacobi"),
+                        partition_mesh(mesh, 4, seed=0), delta=1)
+    backend = CompiledBackend()
+    ras = OneLevelRAS(dec, kernels=backend)
+    space, coarse = _stack(dec, backend)
+    facts = ras.factorizations
+    held = sum(a.nbytes for f in facts for a in (
+        f.indptr, f.rowind, f.lval, f.dinv, f.piv_in))
+    held += sum(a.nbytes for s in dec.subdomains for a in (
+        s.A_dir.indptr, s.A_dir.indices, s.A_dir.data))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        passes = (backend.fuse_ras(facts, dec), backend.fuse_matvec(dec),
+                  backend.fuse_deflation(space, coarse.T))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(p is not None for p in passes)
+    assert peak < 0.01 * held, (peak, held)
+
+
+@pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
+def test_compiled_adef1_apply_matches_numpy(small_problem, rng):
+    """The whole compiled A-DEF1 apply — exported factors, one-call
+    passes, compiled coarse solve — within 1e-12 relative of the numpy
+    reference on the same operator."""
+    mesh, form = small_problem
+    solvers = [SchwarzSolver(mesh, form, num_subdomains=6, nev=6,
+                             kernel_backend=name)
+               for name in ("numpy", "compiled")]
+    assert [s.kernels.name for s in solvers] == ["numpy", "compiled"]
+    u = rng.standard_normal(solvers[0].problem.num_free)
+    ref, got = (s.preconditioner.apply(u) for s in solvers)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
