@@ -151,7 +151,7 @@ def run(smoke: bool, telemetry: str = "") -> dict:
     y = rng.standard_normal(space.m)
     t_zt = best_seconds(space.zt_dot, u, repeats, inner)
     t_zt_ref = best_seconds(ref.zt_dot, u, repeats, inner)
-    t_az = best_seconds(coarse.az_dot, y, repeats, inner)
+    t_az = best_seconds(coarse.AZ.dot, y, repeats, inner)
     t_az_ref = best_seconds(lambda v: dec.matvec(ref.z_dot(v)), y,
                             repeats, inner)
 

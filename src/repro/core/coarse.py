@@ -436,11 +436,6 @@ class CoarseOperator:
         Y = self.solve(W)
         return self.space.z_dot_block(Y)
 
-    def az_dot(self, y: np.ndarray) -> np.ndarray:
-        """A Z y via the cached :attr:`AZ` — one spmv, zero global SpMVs
-        and zero overlap exchanges."""
-        return self.AZ @ y
-
     def zt_dot(self, u: np.ndarray) -> np.ndarray:
         """Zᵀu (§3.2 step 1) — the kernel backend's pass over the W_i
         blocks, bitwise the CSR product of the reference."""

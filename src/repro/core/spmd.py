@@ -233,7 +233,7 @@ class SpmdRank:
         """(P⁻¹_A-DEF1 u)_i — one coarse solve, reused in both terms:
         w = Z y as in :meth:`correction`, and A·w = A·Z·y from the cached
         T — the distributed form of
-        :meth:`~repro.core.coarse.CoarseOperator.az_dot`, one exchange
+        :meth:`~repro.core.coarse.CoarseOperator.deflate`, one exchange
         and no local SpMV."""
         y, h_global = self.coarse_solve(u, h_local)
         w = self.exchange(self.W @ y, _TAG_Z)

@@ -93,7 +93,7 @@ class TestCachedAZ:
         A = dec.problem.matrix()
         y = rng.standard_normal(space.m)
         ref = A @ (space.Z @ y)
-        got = coarse.az_dot(y)
+        got = coarse.AZ @ y
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("stack_name", STACKS)
