@@ -13,8 +13,8 @@ import pytest
 from common import diffusion_2d, write_result
 from repro import SchwarzSolver
 from repro.common.asciiplot import table
-from repro.common.timing import Timer
 from repro.core import compute_deflation
+from repro.obs import Recorder
 from repro.solvers import BACKENDS, factorize
 
 
@@ -34,15 +34,16 @@ def backend_table(subdomain_matrix):
     b = rng.standard_normal(A.shape[0])
     rows = []
     sols = {}
+    rec = Recorder()
     for method in BACKENDS:
-        with Timer() as t_f:
+        with rec.span("factorize") as t_f:
             fact = factorize(A, method)
-        with Timer() as t_s:
+        with rec.span("solve") as t_s:
             x = fact.solve(b)
         sols[method] = x
         rows.append([method, A.shape[0], fact.nnz_factor,
-                     f"{t_f.elapsed * 1e3:.1f} ms",
-                     f"{t_s.elapsed * 1e3:.2f} ms"])
+                     f"{t_f.record.duration * 1e3:.1f} ms",
+                     f"{t_s.record.duration * 1e3:.2f} ms"])
     txt = table(["backend", "n", "nnz(factors)", "factorize", "solve"],
                 rows,
                 title="ABLATION — local direct-solver backends "

@@ -19,7 +19,8 @@ from repro.core.spmd import solve_spmd
 from repro.fem import channels_and_inclusions
 from repro.fem.forms import DiffusionForm
 from repro.mesh import unit_square
-from repro.mpi import Meter, Tracer
+from repro.mpi import Meter
+from repro.obs import Recorder, gantt
 
 
 def main():
@@ -31,18 +32,17 @@ def main():
     dec, space = solver.decomposition, solver.deflation
 
     rows = []
-    tracer = None
     for label, method in (("classical GMRES", "gmres"),
                           ("fused p1-GMRES (paper §3.5)", "fused-p1")):
-        meter = Meter(dec.num_subdomains)
-        meter.tracer = Tracer(dec.num_subdomains)
+        # the rank spans land on the meter's recorder (tracks rank0..)
+        rec = Recorder()
+        meter = Meter(dec.num_subdomains, recorder=rec)
         _, its, res, _ = solve_spmd(dec, space, b, num_masters=2,
                                     method=method, tol=1e-8, maxiter=100,
                                     meter=meter)
         stats = meter.summary()
         rows.append([label, its, f"{res[-1]:.1e}",
                      stats["max_global_syncs"], stats["messages"]])
-        tracer = meter.tracer
     print(table(["method", "#it", "final residual",
                  "blocking global syncs", "p2p messages"], rows,
                 title="Two-level solve over simulated MPI "
@@ -53,7 +53,7 @@ def main():
           "overlapped Iallreduce on masterComm (paper §3.5).")
     print("\nper-rank execution timeline of the fused run "
           "(masters show coarse solves):")
-    print(tracer.gantt(width=70, max_ranks=8))
+    print(gantt(rec, width=70, max_tracks=8))
 
 
 if __name__ == "__main__":

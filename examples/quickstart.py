@@ -17,6 +17,7 @@ from repro.common.asciiplot import semilogy
 from repro.fem import channels_and_inclusions
 from repro.fem.forms import DiffusionForm
 from repro.mesh import unit_square
+from repro.obs import Recorder
 
 
 def main():
@@ -29,12 +30,16 @@ def main():
           f"contrast κ_max/κ_min = {kappa.max() / kappa.min():.1e}")
 
     # -- "advanced" two-level solver: 16 subdomains, 8 GenEO vectors each
-    solver = SchwarzSolver(mesh, form, num_subdomains=16, delta=2, nev=8)
+    rec = Recorder()
+    solver = SchwarzSolver(mesh, form, num_subdomains=16, delta=2, nev=8,
+                           recorder=rec)
     report = solver.solve(tol=1e-8)
     print(f"\ntwo-level A-DEF1 : {report.iterations:3d} iterations "
           f"(converged={report.converged}, dim(E)={report.coarse_dim})")
-    for phase, secs in solver.timer.as_dict().items():
-        print(f"   {phase:<14s} {secs:6.2f} s")
+    totals = rec.totals()
+    for phase in ("decomposition", "factorization", "deflation", "coarse",
+                  "solution"):
+        print(f"   {phase:<14s} {totals[phase]['seconds']:6.2f} s")
 
     # -- "basic" one-level RAS on the same decomposition
     basic = SchwarzSolver(mesh, form, num_subdomains=16, delta=2, levels=1)

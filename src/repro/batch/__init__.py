@@ -1,4 +1,4 @@
-"""Batched multi-RHS solving and subspace recycling (serving-scale path).
+"""Batched multi-RHS solving (serving-scale path).
 
 * :class:`SolveSession` — owns nothing, borrows a set-up
   :class:`~repro.core.solver.SchwarzSolver` and amortizes its expensive
@@ -6,15 +6,11 @@
 * :func:`block_gmres` / :func:`block_cg` — true block Krylov drivers
   (one coarse solve + one block matvec per iteration for the whole
   batch, converged columns deflated).
-* :mod:`.recycle` — harmonic-Ritz harvest + deflation-space
-  augmentation between successive solves (GCRO-DR style).
 """
 
 from .block_cg import block_cg
 from .block_gmres import BlockKrylovResult, block_gmres
-from .recycle import harvest_ritz_vectors, recycled_deflation
 from .session import BatchReport, SolveSession
 
 __all__ = ["SolveSession", "BatchReport", "BlockKrylovResult",
-           "block_gmres", "block_cg", "harvest_ritz_vectors",
-           "recycled_deflation"]
+           "block_gmres", "block_cg"]

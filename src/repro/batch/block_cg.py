@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import KrylovError
-from ..krylov.profile import SolveProfiler
+from ..krylov import profile
+from ..obs.recorder import NULL_RECORDER
 from .block_gmres import BlockKrylovResult
 
 
@@ -36,7 +37,7 @@ def _block_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def block_cg(A_block, B: np.ndarray, *, M_block=None,
              X0: np.ndarray | None = None, tol: float = 1e-6,
              maxiter: int = 1000,
-             profiler: SolveProfiler | None = None,
+             recorder=None,
              callback=None) -> BlockKrylovResult:
     """Solve the SPD system ``A X = B`` column-wise with block PCG.
 
@@ -49,8 +50,10 @@ def block_cg(A_block, B: np.ndarray, *, M_block=None,
     if B.ndim != 2:
         raise KrylovError(f"B must be a column block, got ndim={B.ndim}")
     n, p = B.shape
-    prof = profiler if profiler is not None else SolveProfiler()
-    M = (lambda X: X) if M_block is None else M_block
+    rec = NULL_RECORDER if recorder is None else recorder
+    A = profile.instrument(rec, A_block, "matvec")
+    M = profile.instrument(
+        rec, (lambda X: X) if M_block is None else M_block, "apply")
 
     X = np.zeros((n, p)) if X0 is None \
         else np.array(X0, dtype=np.float64, copy=True)
@@ -66,32 +69,29 @@ def block_cg(A_block, B: np.ndarray, *, M_block=None,
     it = 0
     for c in np.flatnonzero(zero_cols):
         col_iters[c] = 0
-        prof.column_converged(0, int(c), 0.0)
+        profile.column_converged(rec, 0, int(c), 0.0)
     active = np.flatnonzero(~zero_cols)
 
     while active.size and it < maxiter:
-        with prof.phase("matvec"):
-            R = B[:, active] - A_block(X[:, active])
+        R = B[:, active] - A(X[:, active])
         rn = np.linalg.norm(R, axis=0)
         done = rn <= targets[active]
         if done.any():
             for c, r in zip(active[done], rn[done]):
                 col_iters[c] = it
                 final_res[c] = r / scale[c]
-                prof.column_converged(it, int(c), float(r / scale[c]))
+                profile.column_converged(rec, it, int(c), float(r / scale[c]))
             active = active[~done]
             R = R[:, ~done]
             if not active.size:
                 break
-        with prof.phase("apply"):
-            Z = M(R)
+        Z = M(R)
         P = Z.copy()
         RZ = R.T @ Z
         deflate = False
         while it < maxiter and not deflate:
-            with prof.phase("matvec"):
-                Q = A_block(P)
-            with prof.phase("orthogonalization"):
+            Q = A(P)
+            with rec.span("orthogonalization"):
                 alpha = _block_solve(P.T @ Q, RZ)
             X[:, active] += P @ alpha
             R -= Q @ alpha
@@ -100,7 +100,7 @@ def block_cg(A_block, B: np.ndarray, *, M_block=None,
             rel = rn / scale[active]
             worst = float(rel.max())
             history.append(worst)
-            prof.iteration(it, worst)
+            profile.iteration(rec, it, worst)
             if callback is not None:
                 callback(it, worst)
             final_res[active] = rel
@@ -109,9 +109,8 @@ def block_cg(A_block, B: np.ndarray, *, M_block=None,
                 # restart (survivors warm-start from their iterates)
                 deflate = True
                 break
-            with prof.phase("apply"):
-                Z = M(R)
-            with prof.phase("orthogonalization"):
+            Z = M(R)
+            with rec.span("orthogonalization"):
                 RZ_new = R.T @ Z
                 beta = _block_solve(RZ, RZ_new)
             P = Z + P @ beta
@@ -119,18 +118,17 @@ def block_cg(A_block, B: np.ndarray, *, M_block=None,
 
     # record any columns that converged exactly at the budget edge
     if active.size:
-        with prof.phase("matvec"):
-            R = B[:, active] - A_block(X[:, active])
+        R = B[:, active] - A(X[:, active])
         rn = np.linalg.norm(R, axis=0)
         done = rn <= targets[active]
         for c, r in zip(active[done], rn[done]):
             col_iters[c] = it
             final_res[c] = r / scale[c]
-            prof.column_converged(it, int(c), float(r / scale[c]))
+            profile.column_converged(rec, it, int(c), float(r / scale[c]))
         final_res[active] = rn / scale[active]
         active = active[~done]
 
     return BlockKrylovResult(
         X=X, iterations=it, column_iterations=col_iters,
         final_residuals=final_res, residuals=history,
-        converged=bool(active.size == 0), profile=prof.as_dict())
+        converged=bool(active.size == 0))

@@ -13,8 +13,8 @@ vector iteration.
 Converged columns are deflated at restart boundaries (and before the
 first cycle): the active block shrinks, so late stragglers don't pay
 the full-width gemms.  Per-column convergence is read off the block
-least-squares problem each step and reported through
-:meth:`~repro.krylov.SolveProfiler.column_converged`.
+least-squares problem each step and reported as a
+``batch.column_converged`` event on the recorder.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.errors import KrylovError
-from ..krylov.profile import SolveProfiler
+from ..krylov import profile
+from ..obs.recorder import NULL_RECORDER
 
 
 @dataclass
@@ -42,7 +43,6 @@ class BlockKrylovResult:
     #: per-block-iteration max relative residual over active columns
     residuals: list[float] = field(default_factory=list)
     converged: bool = True
-    profile: dict[str, float] = field(default_factory=dict)
 
 
 def _qr_block(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,7 +54,7 @@ def _qr_block(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def block_gmres(A_block, B: np.ndarray, *, M_block=None,
                 X0: np.ndarray | None = None, tol: float = 1e-6,
                 restart: int = 20, maxiter: int = 1000,
-                profiler: SolveProfiler | None = None,
+                recorder=None,
                 callback=None, kernels=None) -> BlockKrylovResult:
     """Solve ``A X = B`` column-wise with block GMRES(m).
 
@@ -73,6 +73,10 @@ def block_gmres(A_block, B: np.ndarray, *, M_block=None,
         Budget of *block* iterations across cycles.
     callback:
         Optional ``callback(k, max_rel_residual)`` per block iteration.
+    recorder:
+        Optional :class:`repro.obs.Recorder` for the ``matvec`` /
+        ``apply`` / ``orthogonalization`` spans and the per-column
+        events; ``None`` records nothing.
     kernels:
         Optional :class:`~repro.kernels.KernelBackend` owning the
         blocked CGS2 kernel; ``None`` is the bitwise-reference ``numpy``
@@ -86,8 +90,10 @@ def block_gmres(A_block, B: np.ndarray, *, M_block=None,
     n, p = B.shape
     if restart < 1:
         raise KrylovError(f"restart must be >= 1, got {restart}")
-    prof = profiler if profiler is not None else SolveProfiler()
-    M = (lambda X: X) if M_block is None else M_block
+    rec = NULL_RECORDER if recorder is None else recorder
+    A = profile.instrument(rec, A_block, "matvec")
+    M = profile.instrument(
+        rec, (lambda X: X) if M_block is None else M_block, "apply")
 
     X = np.zeros((n, p)) if X0 is None \
         else np.array(X0, dtype=np.float64, copy=True)
@@ -105,14 +111,13 @@ def block_gmres(A_block, B: np.ndarray, *, M_block=None,
     history: list[float] = []
 
     def resnorms(cols: np.ndarray) -> np.ndarray:
-        with prof.phase("matvec"):
-            R = B[:, cols] - A_block(X[:, cols])
+        R = B[:, cols] - A(X[:, cols])
         return np.linalg.norm(R, axis=0)
 
     active = np.flatnonzero(~zero_cols)
     for c in np.flatnonzero(zero_cols):
         col_iters[c] = 0
-        prof.column_converged(0, int(c), 0.0)
+        profile.column_converged(rec, 0, int(c), 0.0)
     # initial deflation: columns whose guess already meets the target
     if active.size:
         rn = resnorms(active)
@@ -120,17 +125,16 @@ def block_gmres(A_block, B: np.ndarray, *, M_block=None,
         for c, r in zip(active[done], rn[done]):
             col_iters[c] = 0
             final_res[c] = r / scale[c]
-            prof.column_converged(0, int(c), float(r / scale[c]))
+            profile.column_converged(rec, 0, int(c), float(r / scale[c]))
         active = active[~done]
 
     cycle = 0
     while active.size and it < maxiter:
         if cycle > 0:
-            prof.restart(cycle, it)
+            profile.restart(rec, cycle, it)
         cycle += 1
         pa = active.size
-        with prof.phase("matvec"):
-            R = B[:, active] - A_block(X[:, active])
+        R = B[:, active] - A(X[:, active])
         V0, S0 = _qr_block(R)
         m = restart
         # basis blocks live side by side: Vb[:, :k*pa] after k steps
@@ -142,12 +146,10 @@ def block_gmres(A_block, B: np.ndarray, *, M_block=None,
         j_done = 0
         Y = None
         for j in range(m):
-            with prof.phase("apply"):
-                Pj = M(Vb[:, j * pa:(j + 1) * pa])
-            with prof.phase("matvec"):
-                W = A_block(Pj)
+            Pj = M(Vb[:, j * pa:(j + 1) * pa])
+            W = A(Pj)
             k = (j + 1) * pa
-            with prof.phase("orthogonalization"):
+            with rec.span("orthogonalization"):
                 # blocked CGS2 through the kernel backend: two projection
                 # sweeps, each a pair of gemms — the block analogue of
                 # one batched reduction
@@ -165,25 +167,24 @@ def block_gmres(A_block, B: np.ndarray, *, M_block=None,
             rel = res_cols / scale[active]
             worst = float(rel.max())
             history.append(worst)
-            prof.iteration(it, worst)
+            profile.iteration(rec, it, worst)
             if callback is not None:
                 callback(it, worst)
             if np.all(res_cols <= targets[active]) or it >= maxiter:
                 break
         if j_done and Y is not None:
-            with prof.phase("apply"):
-                X[:, active] += M(Vb[:, :j_done * pa] @ Y)
+            X[:, active] += M(Vb[:, :j_done * pa] @ Y)
         # true residuals decide deflation (the LS estimate drifts)
         rn = resnorms(active)
         done = rn <= targets[active]
         for c, r in zip(active[done], rn[done]):
             col_iters[c] = it
             final_res[c] = r / scale[c]
-            prof.column_converged(it, int(c), float(r / scale[c]))
+            profile.column_converged(rec, it, int(c), float(r / scale[c]))
         final_res[active] = rn / scale[active]
         active = active[~done]
 
     return BlockKrylovResult(
         X=X, iterations=it, column_iterations=col_iters,
         final_residuals=final_res, residuals=history,
-        converged=bool(active.size == 0), profile=prof.as_dict())
+        converged=bool(active.size == 0))

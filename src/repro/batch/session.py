@@ -5,33 +5,22 @@ eigensolves, the coarse factorization — is the dominant cost the paper
 parallelizes (figs. 8/10), and the repo's PR 1–2 made it fast.  A
 :class:`SolveSession` makes it *reusable*: it borrows a fully set-up
 :class:`~repro.core.solver.SchwarzSolver` (never rebuilding any of its
-state) and exposes the two serving-scale access patterns:
-
-* :meth:`solve_many` — simultaneous right-hand sides through true block
-  Krylov drivers (:mod:`.block_cg`, :mod:`.block_gmres`): one coarse
-  solve and one block matvec per iteration for the whole batch.
-* :meth:`solve` — sequential right-hand sides with subspace recycling
-  (:mod:`.recycle`): each solve harvests harmonic Ritz vectors from its
-  final Krylov cycle and deflates them from the next solve, GCRO-DR
-  style, by augmenting the GenEO deflation space.
+state) and solves simultaneous right-hand sides through true block
+Krylov drivers (:mod:`.block_cg`, :mod:`.block_gmres`): one coarse solve
+and one block matvec per iteration for the whole batch.
 
 Open a session with ``SchwarzSolver.session()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..common.errors import ReproError, SymmetryError
-from ..core.adef import TwoLevelADEF1, TwoLevelADEF2, TwoLevelBNN
-from ..core.coarse import CoarseOperator
-from ..core.solver import SolveReport
-from ..krylov import SolveProfiler, gmres
 from .block_cg import block_cg
 from .block_gmres import BlockKrylovResult, block_gmres
-from .recycle import harvest_ritz_vectors, recycled_deflation
 
 
 @dataclass
@@ -60,7 +49,7 @@ class BatchReport:
 
 
 class SolveSession:
-    """Batched / recycled solves over a set-up Schwarz solver.
+    """Batched solves over a set-up Schwarz solver.
 
     Parameters
     ----------
@@ -69,42 +58,16 @@ class SolveSession:
         session shares (never copies) its decomposition, one-level
         factorizations, GenEO deflation space, coarse factorization and
         recorder.
-    recycle_dim:
-        Harmonic Ritz vectors harvested per recycled solve (the
-        augmentation of the deflation space; replaced — not
-        accumulated — on every harvest, so the coarse dim stays
-        bounded by ``coarse_dim + recycle_dim``).
     """
 
-    def __init__(self, solver, *, recycle_dim: int = 8):
-        if recycle_dim < 0:
-            raise ReproError(
-                f"recycle_dim must be >= 0, got {recycle_dim}")
+    def __init__(self, solver):
         self.solver = solver
         self.recorder = solver.recorder
-        self.recycle_dim = int(recycle_dim)
-        #: the preconditioner in use (swapped when recycling augments it)
-        self._preconditioner = solver.preconditioner
-        self._coarse: CoarseOperator | None = None
-        self._recycle_U: np.ndarray | None = None
-        self.solves = 0
         self.batches = 0
 
-    # ------------------------------------------------------------------
     @property
     def decomposition(self):
         return self.solver.decomposition
-
-    @property
-    def coarse_dim(self) -> int:
-        """Active coarse dimension (GenEO + the recycle augmentation)."""
-        if self._coarse is not None:
-            return self._coarse.dim
-        return self.solver.coarse_dim
-
-    @property
-    def recycle_active(self) -> bool:
-        return self._recycle_U is not None
 
     # ------------------------------------------------------------------
     def solve_many(self, B: np.ndarray, *, tol: float = 1e-6,
@@ -143,8 +106,7 @@ class SolveSession:
             raise SymmetryError(
                 f"driver='block-cg' requires an SPD operator, but this "
                 f"one is {kind} — use driver='block-gmres' (or 'auto')")
-        profiler = self._make_profiler()
-        pre = self._preconditioner
+        pre = self.solver.preconditioner
         if self.recorder.enabled:
             self.recorder.add("batch.batches", 1)
             self.recorder.add("batch.columns", B.shape[1])
@@ -155,12 +117,13 @@ class SolveSession:
                 res = block_cg(
                     self.decomposition.matvec_block, B,
                     M_block=pre.apply_block, X0=X0, tol=tol,
-                    maxiter=maxiter, profiler=profiler)
+                    maxiter=maxiter, recorder=self.recorder)
             else:
                 res = block_gmres(
                     self.decomposition.matvec_block, B,
                     M_block=pre.apply_block, X0=X0, tol=tol,
-                    restart=restart, maxiter=maxiter, profiler=profiler,
+                    restart=restart, maxiter=maxiter,
+                    recorder=self.recorder,
                     kernels=self.solver.kernels)
         self.batches += 1
         if self.recorder.enabled:
@@ -170,91 +133,4 @@ class SolveSession:
         return BatchReport(
             X=X, block=res, driver=driver,
             num_subdomains=self.decomposition.num_subdomains,
-            coarse_dim=self.coarse_dim)
-
-    # ------------------------------------------------------------------
-    def solve(self, b: np.ndarray | None = None, *, tol: float = 1e-6,
-              restart: int = 40, maxiter: int = 1000,
-              x0: np.ndarray | None = None,
-              recycle: bool = True) -> SolveReport:
-        """One recycled sequential solve (GMRES; right-preconditioned).
-
-        With ``recycle=True`` the solve (a) runs against the deflation
-        space augmented by the previous solve's harvest and (b) harvests
-        this solve's final Arnoldi cycle for the next one.  The first
-        call has nothing to recycle yet — it behaves like a plain solve
-        plus a cheap harvest.
-        """
-        if b is None:
-            b = self.solver.problem.rhs()
-        profiler = self._make_profiler()
-        pre = self._preconditioner
-        res = gmres(self.decomposition.matvec, b, M=pre.apply, x0=x0,
-                    tol=tol, restart=restart, maxiter=maxiter,
-                    profiler=profiler, keep_basis=recycle,
-                    kernels=self.solver.kernels)
-        self.solves += 1
-        if recycle and self.recycle_dim > 0:
-            U = harvest_ritz_vectors(res.basis, pre.apply,
-                                     self.recycle_dim)
-            if U is not None:
-                self._recycle_U = U
-                self._rebuild_preconditioner()
-                if self.recorder.enabled:
-                    self.recorder.event(
-                        "batch.recycle",
-                        attrs={"vectors": int(U.shape[1]),
-                               "coarse_dim": self.coarse_dim})
-        return SolveReport(
-            x=self.solver.problem.extend(res.x), krylov=res,
-            timer=self.solver.timer,
-            num_subdomains=self.decomposition.num_subdomains,
-            coarse_dim=self.coarse_dim, nu=self.solver.nu)
-
-    def reset_recycling(self) -> None:
-        """Drop the harvested subspace and return to the base
-        preconditioner."""
-        self._recycle_U = None
-        self._coarse = None
-        self._preconditioner = self.solver.preconditioner
-
-    # ------------------------------------------------------------------
-    def _make_profiler(self) -> SolveProfiler:
-        profiler = SolveProfiler(recorder=self.recorder)
-        coarse = self._coarse if self._coarse is not None \
-            else self.solver.coarse
-        if coarse is not None:
-            coarse.profiler = profiler
-        return profiler
-
-    def _rebuild_preconditioner(self) -> None:
-        """Swap in a preconditioner whose coarse space is the GenEO
-        deflation augmented by the current recycle block.
-
-        Only the coarse operator is rebuilt (a dense-ish ``m × m``
-        assembly and factorization, m = coarse_dim + recycle_dim); the
-        expensive per-subdomain state is reused untouched.  The harvest
-        *replaces* the previous one, so repeated recycling does not grow
-        the coarse problem without bound.
-        """
-        solver = self.solver
-        space = recycled_deflation(self.decomposition, self._recycle_U,
-                                   base=solver.deflation)
-        with self.recorder.span("recycle_coarse"):
-            coarse = CoarseOperator(space,
-                                    backend=solver.coarse_backend,
-                                    parallel=solver.parallel,
-                                    recorder=self.recorder,
-                                    kernels=solver.kernels)
-        base = solver.preconditioner
-        if isinstance(base, (TwoLevelADEF1, TwoLevelADEF2, TwoLevelBNN)):
-            cls = type(base)
-            one_level = base.ras if hasattr(base, "ras") else base.one_level
-        else:
-            # a one-level solver gains a coarse level made purely of
-            # recycled Ritz vectors — the a-posteriori construction of
-            # the paper's outlook (core/ritz.py), fed by real solves
-            cls = TwoLevelADEF1
-            one_level = solver.one_level
-        self._coarse = coarse
-        self._preconditioner = cls(one_level, coarse)
+            coarse_dim=self.solver.coarse_dim)

@@ -45,7 +45,14 @@ from .fem.forms import (
     HelmholtzForm,
 )
 from .mesh import cantilever_2d, unit_cube, unit_square
+from .obs import Recorder, write_trace
 from .partition import imbalance, partition_mesh
+
+#: the report's phase rows: setup/solve phases, then the Krylov cost
+#: centres (``coarse_solve`` nests inside ``apply``)
+PHASES = ("decomposition", "factorization", "deflation", "coarse",
+          "solution")
+SOLVE_PHASES = ("matvec", "apply", "coarse_solve", "orthogonalization")
 
 PROBLEMS = ("diffusion2d", "diffusion3d", "elasticity2d", "elasticity3d",
             "convdiff2d", "helmholtz2d")
@@ -106,13 +113,7 @@ def cmd_solve(args) -> int:
                                   workers=args.workers or None)
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
-    recorder = None
-    if args.telemetry:
-        from .obs import Recorder
-        recorder = Recorder(ring=args.flight_recorder or None)
-    elif args.flight_recorder:
-        from .obs import Recorder
-        recorder = Recorder(ring=args.flight_recorder)
+    recorder = Recorder(ring=args.flight_recorder or None)
     faults = None
     if args.faults:
         from .resilience import FaultPlan
@@ -128,7 +129,7 @@ def cmd_solve(args) -> int:
             coarse_space=args.coarse_space or None)
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
-    if args.rhs_batch > 1 or args.recycle:
+    if args.rhs_batch > 1:
         return _solve_batched(args, solver, recorder)
     report = solver.solve(tol=args.tol, restart=args.restart,
                           maxiter=args.maxiter)
@@ -167,10 +168,11 @@ def cmd_solve(args) -> int:
                          f"{len(fl['events'])} events "
                          f"(ring {fl['ring']}, "
                          f"{fl['spans_total']} spans total)"])
-    for phase, secs in solver.timer.as_dict().items():
-        rows.append([f"time: {phase}", f"{secs:.2f} s"])
-    for phase, secs in report.krylov.profile.items():
-        rows.append([f"solve: {phase}", f"{secs:.3f} s"])
+    totals = recorder.totals()
+    rows += [[f"time: {p}", f"{totals[p]['seconds']:.2f} s"]
+             for p in PHASES if p in totals]
+    rows += [[f"solve: {p}", f"{totals[p]['seconds']:.3f} s"]
+             for p in SOLVE_PHASES if p in totals]
     print(table(["quantity", "value"], rows, title="repro solve report"))
     if args.plot:
         print()
@@ -187,8 +189,7 @@ def cmd_solve(args) -> int:
                   cell_data={"partition": solver.decomposition.part
                              .astype(float)})
         print(f"\nsolution written to {args.vtk}")
-    if recorder is not None and args.telemetry:
-        from .obs import write_trace
+    if args.telemetry:
         write_trace(recorder, args.telemetry,
                     format=args.telemetry_format)
         print(f"\ntelemetry ({args.telemetry_format}) written to "
@@ -199,46 +200,23 @@ def cmd_solve(args) -> int:
 
 
 def _solve_batched(args, solver, recorder) -> int:
-    """The ``--rhs-batch`` / ``--recycle`` paths: one SolveSession."""
+    """The ``--rhs-batch`` path: one block solve through a
+    SolveSession."""
     session = solver.session()
     b = solver.problem.rhs()
-    k = max(1, args.rhs_batch)
+    k = args.rhs_batch
     rng = np.random.default_rng(args.seed)
-    if k > 1:
-        # the assembled load plus perturbed companions — the shape of a
-        # multi-load-case / time-stepping workload
-        B = np.column_stack(
-            [b] + [b + 0.1 * np.linalg.norm(b)
-                   * rng.standard_normal(b.shape[0])
-                   for _ in range(k - 1)])
-    else:
-        B = b[:, None]
+    # the assembled load plus perturbed companions — the shape of a
+    # multi-load-case / time-stepping workload
+    B = np.column_stack(
+        [b] + [b + 0.1 * np.linalg.norm(b)
+               * rng.standard_normal(b.shape[0])
+               for _ in range(k - 1)])
     rows = [["problem", args.problem],
             ["dofs", solver.problem.space.num_dofs],
             ["subdomains", args.subdomains],
             ["coarse dim", solver.coarse_dim],
             ["rhs batch", k]]
-    if args.recycle:
-        # sequential recycled solves: each harvests Ritz vectors that
-        # deflate the next (two passes of b when K == 1, to show the
-        # recycling effect on a repeated load)
-        cols = list(range(B.shape[1])) if k > 1 else [0, 0]
-        iters = []
-        ok = True
-        for j in cols:
-            rep = session.solve(B[:, j], tol=args.tol,
-                                restart=args.restart,
-                                maxiter=args.maxiter)
-            iters.append(rep.iterations)
-            ok = ok and rep.converged
-        rows += [["mode", "recycled sequential"],
-                 ["iterations per solve",
-                  ", ".join(map(str, iters))],
-                 ["recycled coarse dim", session.coarse_dim],
-                 ["converged", ok]]
-        print(table(["quantity", "value"], rows,
-                    title="repro batched solve report"))
-        return 0 if ok else 1
     report = session.solve_many(B, tol=args.tol, restart=args.restart,
                                 maxiter=args.maxiter)
     rows += [["mode", f"block ({report.driver})"],
@@ -248,8 +226,7 @@ def _solve_batched(args, solver, recorder) -> int:
              ["converged", report.converged]]
     print(table(["quantity", "value"], rows,
                 title="repro batched solve report"))
-    if recorder is not None:
-        from .obs import write_trace
+    if args.telemetry:
         write_trace(recorder, args.telemetry, format=args.telemetry_format)
         print(f"\ntelemetry ({args.telemetry_format}) written to "
               f"{args.telemetry}")
@@ -323,7 +300,6 @@ def cmd_chaos(args) -> int:
     import json
     from pathlib import Path
 
-    from .obs import Recorder
     from .resilience.chaos import ChaosConfig, run_campaign
 
     cfg = ChaosConfig(
@@ -472,12 +448,7 @@ def make_parser() -> argparse.ArgumentParser:
                          "+ structural degradation")
     ps.add_argument("--rhs-batch", type=int, default=1, metavar="K",
                     help="solve K right-hand sides through one "
-                         "SolveSession (K > 1: block Krylov, or "
-                         "sequential recycled solves with --recycle)")
-    ps.add_argument("--recycle", action="store_true",
-                    help="recycle harmonic Ritz vectors between "
-                         "successive solves (GCRO-DR-style deflation "
-                         "augmentation)")
+                         "SolveSession's block Krylov solve (K > 1)")
     ps.add_argument("--backend", default="",
                     help="kernel backend for the solve-phase hot loops "
                          "(numpy, compiled; empty = "

@@ -88,18 +88,18 @@ class KrylovBreakdown(KrylovError):
 
     Mirrors :class:`ConvergenceError`'s state-carrying contract: the
     last *healthy* iterate (``x``, possibly a rolled-back checkpoint),
-    the residual history up to the failure, the iteration index and the
-    profiler summary all ride on the exception so a recovery policy can
-    roll back and restart instead of losing the whole solve.
+    the residual history up to the failure and the iteration index ride
+    on the exception so a recovery policy can roll back and restart
+    instead of losing the whole solve.  Per-phase seconds up to the
+    failure are on the solve's recorder (``Recorder.totals()``).
     """
 
     def __init__(self, message: str, x=None, residuals=None,
-                 iteration: int = -1, profile=None):
+                 iteration: int = -1):
         super().__init__(message)
         self.x = x
         self.residuals = residuals if residuals is not None else []
         self.iteration = iteration
-        self.profile = profile if profile is not None else {}
         #: flight-recorder black box (set by the health monitor when
         #: the active recorder runs in ring mode)
         self.flight: dict | None = None
@@ -129,15 +129,13 @@ class IndefiniteError(KrylovBreakdown):
 class ConvergenceError(KrylovError):
     """Iterative method exhausted its iteration budget.
 
-    Carries the partially converged iterate, the residual history and
-    the profiler summary so that callers (and the benchmark harness,
-    which *expects* the one-level method to stall) can still inspect
-    the run — a budget-exhausted solve must not lose the profiling data
-    collected up to the failure.
+    Carries the partially converged iterate and the residual history so
+    that callers (and the benchmark harness, which *expects* the
+    one-level method to stall) can still inspect the run; its per-phase
+    seconds are on the solve's recorder (``Recorder.totals()``).
     """
 
-    def __init__(self, message: str, x=None, residuals=None, profile=None):
+    def __init__(self, message: str, x=None, residuals=None):
         super().__init__(message)
         self.x = x
         self.residuals = residuals if residuals is not None else []
-        self.profile = profile if profile is not None else {}

@@ -280,8 +280,9 @@ class CoarseOperator:
     recorder:
         Optional :class:`repro.obs.Recorder` — records the assembly
         steps as spans (``assemble_E``, ``factorize_E``, and
-        ``assemble_AZ`` when :attr:`AZ` is first used) and counts every
-        coarse solve under the ``coarse_solves`` counter.
+        ``assemble_AZ`` when :attr:`AZ` is first used), and every coarse
+        solve as a ``coarse_solve`` span counted under the
+        ``coarse_solves`` counter.
     kernels:
         Optional :class:`~repro.kernels.KernelBackend`.  The coarse
         solve routes through it — the ``compiled`` backend substitutes
@@ -325,9 +326,6 @@ class CoarseOperator:
             self.recorder.gauge("coarse.dim", self.E.shape[0])
             self.recorder.gauge("coarse.nnz", self.E.nnz)
             self.recorder.gauge("coarse.nnz_factor", self.nnz_factor())
-        #: optional :class:`~repro.krylov.SolveProfiler` — when attached,
-        #: every coarse solve is timed under its ``coarse_solve`` phase
-        self.profiler = None
         #: optional :class:`~repro.resilience.FaultInjector`; fires the
         #: ``coarse_solve`` op on every solve output
         self.injector = None
@@ -362,12 +360,12 @@ class CoarseOperator:
         the block Krylov drivers rely on — counted as a single solve.
         """
         self.solves += 1
-        if self.recorder.enabled:
-            self.recorder.add("coarse_solves", 1)
-        if self.profiler is not None:
-            with self.profiler.phase("coarse_solve"):
-                return self._checked_solve(w)
-        return self._checked_solve(w)
+        rec = self.recorder
+        if not rec.enabled:
+            return self._checked_solve(w)
+        rec.add("coarse_solves", 1)
+        with rec.span("coarse_solve"):
+            return self._checked_solve(w)
 
     def _checked_solve(self, w: np.ndarray) -> np.ndarray:
         y = self.factorization.solve(w) if self._kernel_solve is None \

@@ -1,9 +1,10 @@
 """High-level user API: the two-level Schwarz solver.
 
 Wires the full paper pipeline — partition, overlap, local matrices,
-GenEO deflation, coarse operator, A-DEF1 — behind one object, with the
-per-phase timers (*factorization*, *deflation*, *solution*) that
-figures 8 and 10 report.
+GenEO deflation, coarse operator, A-DEF1 — behind one object.  The
+per-phase times that figures 8 and 10 report (*factorization*,
+*deflation*, *solution*) are spans of those names on the solver's
+recorder.
 
 Example
 -------
@@ -33,14 +34,12 @@ from ..common.errors import (
     ReproError,
     SymmetryError,
 )
-from ..common.timing import PhaseTimer
 from ..dd.decomposition import Decomposition
 from ..dd.problem import Problem
 from ..fem.forms import Form
 from ..kernels import get_backend
 from ..krylov import (
     KrylovResult,
-    SolveProfiler,
     cg,
     deflated_cg,
     fgmres,
@@ -80,7 +79,6 @@ class SolveReport:
 
     x: np.ndarray                 # full-dof solution (Dirichlet rows zero)
     krylov: KrylovResult
-    timer: PhaseTimer
     num_subdomains: int
     coarse_dim: int
     nu: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
@@ -136,12 +134,14 @@ class SchwarzSolver:
         bitwise identical across executors; per-subdomain seeds and
         phase times are preserved.
     recorder:
-        Optional :class:`repro.obs.Recorder`.  When given, every setup
-        phase and per-subdomain task becomes a hierarchical span, the
-        Krylov loop emits per-iteration convergence events, and the
-        whole run can be exported with :func:`repro.obs.write_trace`.
-        ``None`` (default) uses the no-op recorder — un-instrumented
-        runs pay essentially nothing.
+        Optional :class:`repro.obs.Recorder` — the solver's only clock.
+        When given, the phases (``decomposition``, ``factorization``,
+        ``deflation``, ``coarse``, ``solution``) and every per-subdomain
+        task become hierarchical spans, the Krylov loop records its
+        ``matvec`` / ``apply`` / ``orthogonalization`` spans and
+        per-iteration convergence events, and the whole run can be
+        exported with :func:`repro.obs.write_trace`.  ``None`` (default)
+        uses the no-op recorder — un-instrumented solves read no clock.
     faults:
         Optional :class:`repro.resilience.FaultPlan` (or a ready
         injector, or a JSON plan path).  Arms deterministic fault
@@ -206,7 +206,6 @@ class SchwarzSolver:
                 "use a two-level preconditioner (adef1/adef2/bnn), "
                 f"got {preconditioner!r}")
         self.recorder = NULL_RECORDER if recorder is None else recorder
-        self.timer = PhaseTimer(recorder=self.recorder)
         self.parallel = resolve_parallel(parallel)
         #: kernel backend shared by every component of the solve phase
         self.kernels = get_backend(kernel_backend, recorder=self.recorder)
@@ -234,13 +233,10 @@ class SchwarzSolver:
                coarse_space) -> None:
         self.problem = Problem(mesh, form, dirichlet=dirichlet,
                                scaling=scaling)
-        #: kept for components that re-factorize a coarse operator later
-        #: (e.g. the recycling session augmenting the deflation space)
-        self.coarse_backend = coarse_backend
         if part is None:
             part = partition_mesh(mesh, num_subdomains,
                                   method=partition_method, seed=seed)
-        with self.timer.phase("decomposition"):
+        with self.recorder.span("decomposition"):
             self.decomposition = Decomposition(self.problem, part,
                                                delta=delta,
                                                parallel=self.parallel,
@@ -262,7 +258,7 @@ class SchwarzSolver:
         self.coarse_space_name, self._coarse_space_builder = \
             get_coarse_space(coarse_space, operator_is_spd=self.is_spd)
 
-        with self.timer.phase("factorization"):
+        with self.recorder.span("factorization"):
             one_level_cls = OneLevelASM if preconditioner in ("asm", "bnn") \
                 else OneLevelRAS
             self.one_level = one_level_cls(self.decomposition,
@@ -274,7 +270,7 @@ class SchwarzSolver:
         self.deflation: DeflationSpace | None = None
         self.coarse: CoarseOperator | None = None
         if preconditioner in ("adef1", "adef2", "bnn"):
-            with self.timer.phase("deflation"):
+            with self.recorder.span("deflation"):
                 ncomp = self.problem.space.ncomp
                 cs_builder = self._coarse_space_builder
 
@@ -300,7 +296,7 @@ class SchwarzSolver:
                                  seed=seed + s.index)
 
                 # per-subdomain GenEO eigensolves under the executor;
-                # timed_map records each subdomain on its own clock
+                # timed_map records each subdomain as its own span
                 # (figs. 8/10 SPMD wall-clock = max over subdomains)
                 results, self.deflation_times = timed_map(
                     deflate, self.decomposition.subdomains, self.parallel,
@@ -308,7 +304,7 @@ class SchwarzSolver:
                 self.geneo_results = results
                 self.deflation = DeflationSpace(
                     self.decomposition, [r.W for r in results])
-            with self.timer.phase("coarse"):
+            with self.recorder.span("coarse"):
                 self.coarse = CoarseOperator(self.deflation,
                                              backend=coarse_backend,
                                              parallel=self.parallel,
@@ -378,17 +374,12 @@ class SchwarzSolver:
             else resolve_recovery(recovery)
         injector = self.injector
         method = _KRYLOV[self.krylov_name]
-        # one profiler shared between the Krylov loop (matvec / apply /
-        # orthogonalization) and the coarse operator (coarse_solve, a
-        # sub-interval of apply) — surfaced on KrylovResult.profile
-        profiler = SolveProfiler(recorder=self.recorder)
         if self.coarse is not None:
-            self.coarse.profiler = profiler
             self.coarse.injector = injector
             self.coarse.resilient = policy.degrading
         self.one_level.injector = injector
         kwargs = dict(tol=tol, maxiter=maxiter,
-                      callback=callback, profiler=profiler)
+                      callback=callback, recorder=self.recorder)
         if self.krylov_name in ("gmres", "fgmres"):
             kwargs["kernels"] = self.kernels
         if self.krylov_name in _RESTARTED:
@@ -425,7 +416,7 @@ class SchwarzSolver:
         saved_pre = self.preconditioner
         saved_disabled = set(self.one_level.disabled)
         try:
-            with self.timer.phase("solution"):
+            with self.recorder.span("solution"):
                 while True:
                     try:
                         if self.krylov_name == "deflated-cg":
@@ -494,25 +485,23 @@ class SchwarzSolver:
         if self.recorder.enabled:
             self.recorder.gauge("iterations", res.iterations)
         return SolveReport(
-            x=self.problem.extend(res.x), krylov=res, timer=self.timer,
+            x=self.problem.extend(res.x), krylov=res,
             num_subdomains=self.decomposition.num_subdomains,
             coarse_dim=self.coarse_dim, nu=self.nu,
             resilience=resilience)
 
     # ------------------------------------------------------------------
-    def session(self, **kwargs):
+    def session(self):
         """Open a :class:`repro.batch.SolveSession` over this solver's
         expensive state (decomposition, local factorizations, GenEO
         deflation space, coarse factorization, recorder).
 
-        The session amortizes setup across many right-hand sides: block
-        Krylov solves via :meth:`~repro.batch.SolveSession.solve_many`
-        and Ritz-recycled sequential solves via
-        :meth:`~repro.batch.SolveSession.solve`.  Keyword arguments are
-        forwarded to the :class:`~repro.batch.SolveSession` constructor.
+        The session amortizes setup across many right-hand sides through
+        block Krylov solves
+        (:meth:`~repro.batch.SolveSession.solve_many`).
         """
         from ..batch import SolveSession
-        return SolveSession(self, **kwargs)
+        return SolveSession(self)
 
     def _recover(self, exc, policy, health, resilience):
         """One recovery step: log the event, apply the structural

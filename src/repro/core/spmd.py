@@ -114,13 +114,12 @@ class SpmdRank:
         self._tag_counter = 0
 
     def _span(self, label: str):
-        """Optional tracing span (no-op unless a Tracer is attached to
-        the meter)."""
-        tracer = getattr(self.comm.meter, "tracer", None)
-        if tracer is None:
-            from contextlib import nullcontext
-            return nullcontext()
-        return tracer.span(self.comm.world_rank, label)
+        """A span on the run's recorder, on this rank's ``rank{r}``
+        track (the shared no-op span when the run is un-instrumented)."""
+        rec = self.comm.meter.recorder
+        if not rec.enabled:
+            return rec.span(label)
+        return rec.span(label, track=f"rank{self.comm.world_rank}")
 
     # -- neighbour exchange (the matvec communication pattern) ----------
     def exchange(self, x: np.ndarray, tag_base: int) -> np.ndarray:

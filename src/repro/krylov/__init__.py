@@ -4,8 +4,7 @@ from .cg import cg
 from .deflated_cg import deflated_cg
 from .gmres import KrylovResult, fgmres, gmres
 from .pipelined import p1_gmres
-from .profile import SolveProfiler
 from .sstep import s_step_gmres
 
 __all__ = ["gmres", "fgmres", "cg", "deflated_cg", "p1_gmres",
-           "s_step_gmres", "KrylovResult", "SolveProfiler"]
+           "s_step_gmres", "KrylovResult"]

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..common.errors import IndefiniteError, KrylovBreakdown
+from ..common.errors import IndefiniteError
+from ..obs.recorder import NULL_RECORDER
+from . import profile
 from .gmres import KrylovResult, _as_operator
-from .profile import SolveProfiler, finish_zero_rhs
 
 
 def cg(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
        tol: float = 1e-6, maxiter: int = 1000,
-       callback=None, profiler: SolveProfiler | None = None,
+       callback=None, recorder=None,
        health=None) -> KrylovResult:
     """Left-preconditioned CG: solve ``A x = b`` with SPD ``A`` and SPD
     preconditioner ``M`` (applied as an operator).
@@ -25,66 +26,57 @@ def cg(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     checked once per iteration (with the current iterate, so its
     checkpoints can serve rollback-restart recovery); breakdowns raise
     typed :class:`~repro.common.errors.KrylovBreakdown` subclasses
-    carrying the last healthy iterate, the residual history and the
-    solve profile.
+    carrying the last healthy iterate and the residual history.
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
-    prof = profiler if profiler is not None else SolveProfiler()
-    A_mul = prof.wrap(_as_operator(A, n, "A"), "matvec")
-    M_mul = prof.wrap(_as_operator(M, n, "M"), "apply")
+    rec = NULL_RECORDER if recorder is None else recorder
+    A_mul = profile.instrument(rec, _as_operator(A, n, "A"), "matvec")
+    M_mul = profile.instrument(rec, _as_operator(M, n, "M"), "apply")
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    if health is not None:
-        health.profiler = prof
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return finish_zero_rhs(n, profiler=prof, callback=callback,
-                               health=health)
+        return profile.finish_zero_rhs(n, recorder=rec, callback=callback,
+                                       health=health)
     target = tol * bnorm
 
-    try:
-        r = b - A_mul(x)
+    r = b - A_mul(x)
+    z = M_mul(r)
+    p = z.copy()
+    rz = float(r @ z)
+    syncs = 2
+    residuals = [float(np.linalg.norm(r)) / bnorm]
+    profile.iteration(rec, 0, residuals[0])
+    if health is not None:
+        health.observe(0, residuals[0], x)
+    it = 0
+    while residuals[-1] * bnorm > target and it < maxiter:
+        Ap = A_mul(p)
+        pAp = float(p @ Ap)
+        syncs += 1
+        if pAp <= 0:
+            raise IndefiniteError(
+                f"CG breakdown: p·Ap = {pAp:.3e} <= 0 (operator or "
+                "preconditioner not SPD)",
+                x=x.copy(), residuals=list(residuals), iteration=it)
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
         z = M_mul(r)
-        p = z.copy()
-        rz = float(r @ z)
-        syncs = 2
-        residuals = [float(np.linalg.norm(r)) / bnorm]
-        prof.iteration(0, residuals[0])
+        rz_new = float(r @ z)
+        syncs += 1
+        beta = rz_new / rz
+        rz = rz_new
+        p = z + beta * p
+        it += 1
+        residuals.append(float(np.linalg.norm(r)) / bnorm)
+        profile.iteration(rec, it, residuals[-1])
+        syncs += 1
         if health is not None:
-            health.observe(0, residuals[0], x)
-        it = 0
-        while residuals[-1] * bnorm > target and it < maxiter:
-            Ap = A_mul(p)
-            pAp = float(p @ Ap)
-            syncs += 1
-            if pAp <= 0:
-                raise IndefiniteError(
-                    f"CG breakdown: p·Ap = {pAp:.3e} <= 0 (operator or "
-                    "preconditioner not SPD)",
-                    x=x.copy(), residuals=list(residuals), iteration=it,
-                    profile=prof.as_dict())
-            alpha = rz / pAp
-            x += alpha * p
-            r -= alpha * Ap
-            z = M_mul(r)
-            rz_new = float(r @ z)
-            syncs += 1
-            beta = rz_new / rz
-            rz = rz_new
-            p = z + beta * p
-            it += 1
-            residuals.append(float(np.linalg.norm(r)) / bnorm)
-            prof.iteration(it, residuals[-1])
-            syncs += 1
-            if health is not None:
-                health.observe(it, residuals[-1], x)
-            if callback is not None:
-                callback(it, residuals[-1])
-    except KrylovBreakdown as exc:
-        if exc.profile is None:
-            exc.profile = prof.as_dict()
-        raise
+            health.observe(it, residuals[-1], x)
+        if callback is not None:
+            callback(it, residuals[-1])
     return KrylovResult(x=x, iterations=it, residuals=residuals,
                         converged=residuals[-1] * bnorm <= target,
-                        global_syncs=syncs, profile=prof.as_dict())
+                        global_syncs=syncs)

@@ -17,15 +17,16 @@ import scipy.sparse as sp
 
 from ..common.errors import IndefiniteError, KrylovError
 from ..solvers import factorize
+from ..obs.recorder import NULL_RECORDER
+from . import profile
 from .gmres import KrylovResult, _as_operator
-from .profile import SolveProfiler, finish_zero_rhs
 
 
 def deflated_cg(A, b: np.ndarray, Z, *, M=None,
                 x0: np.ndarray | None = None, tol: float = 1e-6,
                 maxiter: int = 1000, backend: str = "dense",
                 callback=None,
-                profiler: SolveProfiler | None = None,
+                recorder=None,
                 health=None) -> KrylovResult:
     """Deflated (and optionally preconditioned) CG.
 
@@ -46,11 +47,9 @@ def deflated_cg(A, b: np.ndarray, Z, *, M=None,
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
-    prof = profiler if profiler is not None else SolveProfiler()
-    A_mul = prof.wrap(_as_operator(A, n, "A"), "matvec")
-    M_mul = prof.wrap(_as_operator(M, n, "M"), "apply")
-    if health is not None:
-        health.profiler = prof
+    rec = NULL_RECORDER if recorder is None else recorder
+    A_mul = profile.instrument(rec, _as_operator(A, n, "A"), "matvec")
+    M_mul = profile.instrument(rec, _as_operator(M, n, "M"), "apply")
     Zd = Z.toarray() if sp.issparse(Z) else np.asarray(Z, dtype=np.float64)
     if Zd.ndim != 2 or Zd.shape[0] != n:
         raise KrylovError(f"Z must be (n, m) with n={n}, got {Zd.shape}")
@@ -69,8 +68,8 @@ def deflated_cg(A, b: np.ndarray, Z, *, M=None,
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return finish_zero_rhs(n, profiler=prof, callback=callback,
-                               health=health)
+        return profile.finish_zero_rhs(n, recorder=rec, callback=callback,
+                                       health=health)
     target = tol * bnorm
 
     x_coarse = Zd @ Ef.solve(Zd.T @ b)      # Q b
@@ -88,7 +87,7 @@ def deflated_cg(A, b: np.ndarray, Z, *, M=None,
     p = z.copy()
     rz = float(r @ z)
     residuals = [float(np.linalg.norm(r)) / bnorm]
-    prof.iteration(0, residuals[0])
+    profile.iteration(rec, 0, residuals[0])
     if health is not None:
         health.observe(0, residuals[0], xhat)
     it = 0
@@ -107,7 +106,7 @@ def deflated_cg(A, b: np.ndarray, Z, *, M=None,
                 raise IndefiniteError(
                     f"deflated CG breakdown: p·PAp = {pAp:.3e}",
                     x=x_coarse + Pt(xhat), residuals=list(residuals),
-                    iteration=it, profile=prof.as_dict())
+                    iteration=it)
         alpha = rz / pAp
         xhat += alpha * p
         r -= alpha * Ap
@@ -120,7 +119,7 @@ def deflated_cg(A, b: np.ndarray, Z, *, M=None,
         p = z + beta * p
         it += 1
         residuals.append(float(np.linalg.norm(r)) / bnorm)
-        prof.iteration(it, residuals[-1])
+        profile.iteration(rec, it, residuals[-1])
         if health is not None:
             health.observe(it, residuals[-1], xhat)
         if callback is not None:
@@ -128,5 +127,4 @@ def deflated_cg(A, b: np.ndarray, Z, *, M=None,
     x = x_coarse + Pt(xhat)
     true_res = float(np.linalg.norm(b - A_mul(x))) / bnorm
     return KrylovResult(x=x, iterations=it, residuals=residuals,
-                        converged=true_res <= tol * 10,
-                        profile=prof.as_dict())
+                        converged=true_res <= tol * 10)

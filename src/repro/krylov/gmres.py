@@ -19,9 +19,9 @@ through preallocated buffers (``np.multiply``/``np.subtract`` with
 ``out=``), so the restart loop allocates nothing proportional to n·m.
 V (and the flexible basis Z) is column-major: a basis vector is one
 contiguous column.
-A :class:`~repro.krylov.SolveProfiler` times the ``matvec``, ``apply``
-and ``orthogonalization`` cost centres; the result carries the
-accumulated seconds in :attr:`KrylovResult.profile`.
+An enabled ``recorder`` receives the ``matvec``, ``apply`` and
+``orthogonalization`` spans and the per-iteration events
+(:mod:`repro.krylov.profile`).
 
 Every classical restarted GMRES of the stack is :func:`gmres` called
 through its two seams (``docs/api.md``): ``kernels=`` owns every
@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.errors import ConvergenceError, KrylovError
-from .profile import SolveProfiler, finish_zero_rhs
+from ..obs.recorder import NULL_RECORDER
+from . import profile
 
 
 @dataclass
@@ -51,16 +52,6 @@ class KrylovResult:
     #: reductions posted non-blocking and hidden behind the next
     #: operator product (the pipelined drivers; 0 elsewhere)
     overlapped_reductions: int = 0
-    #: per-phase wall-clock seconds of the solve — ``apply`` (the
-    #: preconditioner), ``coarse_solve`` (nested inside ``apply``),
-    #: ``matvec``, ``orthogonalization``
-    profile: dict[str, float] = field(default_factory=dict)
-    #: last-cycle Arnoldi data ``(V, H̄)`` with ``V`` of shape
-    #: ``(n, k+1)`` and the *untransformed* Hessenberg ``H̄`` of shape
-    #: ``(k+1, k)`` — populated only by drivers called with
-    #: ``keep_basis=True``; the raw material for harvesting recycled
-    #: Ritz vectors (:mod:`repro.batch.recycle`)
-    basis: tuple | None = None
 
     @property
     def final_residual(self) -> float:
@@ -105,8 +96,7 @@ def _as_operator(op, n: int, name: str):
 def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
           tol: float = 1e-6, restart: int = 40, maxiter: int = 1000,
           callback=None, raise_on_stall: bool = False,
-          profiler: SolveProfiler | None = None,
-          health=None, keep_basis: bool = False,
+          recorder=None, health=None,
           kernels=None, _flexible: bool = False) -> KrylovResult:
     """Right-preconditioned restarted GMRES: solve ``A (M y) = b``,
     ``x = M y``.
@@ -125,9 +115,11 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
         Raise :class:`ConvergenceError` instead of returning an
         unconverged result (benchmarks *expect* the one-level method to
         stall, so the default is to return).
-    profiler:
-        Per-phase timer; pass the one shared with the preconditioner to
-        also capture ``coarse_solve``.  Created internally if ``None``.
+    recorder:
+        Optional :class:`repro.obs.Recorder`: spans ``matvec``,
+        ``apply`` and ``orthogonalization`` plus the ``iteration`` /
+        ``restart`` / ``orthogonality_loss`` events.  ``None`` records
+        nothing and reads no clock.
     health:
         Optional :class:`~repro.resilience.HealthMonitor` (or any
         observer with its three methods), told once per appended
@@ -136,10 +128,6 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
         from the last completed cycle.  New basis vectors are scanned
         for NaN/Inf and a cheap orthogonality defect ``|v_{j+1}·v_0|``
         is reported.
-    keep_basis:
-        When True, attach the last cycle's Arnoldi data (basis V and the
-        untransformed Hessenberg H̄) to :attr:`KrylovResult.basis` for a
-        posteriori Ritz harvesting (subspace recycling).
     kernels:
         Owner of every reduction (``ortho_step``, ``norm``): a
         :class:`~repro.kernels.KernelBackend`, or an
@@ -155,24 +143,21 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     n = b.shape[0]
     if restart < 1:
         raise KrylovError(f"restart must be >= 1, got {restart}")
-    prof = profiler if profiler is not None else SolveProfiler()
-    A_mul = prof.wrap(_as_operator(A, n, "A"), "matvec")
-    M_mul = prof.wrap(_as_operator(M, n, "M"), "apply")
+    rec = NULL_RECORDER if recorder is None else recorder
+    A_mul = profile.instrument(rec, _as_operator(A, n, "A"), "matvec")
+    M_mul = profile.instrument(rec, _as_operator(M, n, "M"), "apply")
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    if health is not None:
-        health.profiler = prof
 
     bnorm = kern.norm(b)
     if bnorm == 0.0:
-        return finish_zero_rhs(n, profiler=prof, callback=callback,
-                               health=health)
+        return profile.finish_zero_rhs(n, recorder=rec, callback=callback,
+                                       health=health)
     target = tol * bnorm
 
     residuals: list[float] = []
     syncs = 0
     total_it = 0
     cycle = 0
-    j_done = 0
 
     # workspaces allocated once, reused across restarts; the bases are
     # column-major, so every basis vector — each Gram–Schmidt dot and
@@ -182,27 +167,16 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     # flexible: the preconditioned basis Z_j = M_j v_j (M may vary)
     Z = np.empty((n, m), order="F") if _flexible else None
     H = np.zeros((m + 1, m))
-    # Givens rotations triangularise H in place; recycling needs the raw
-    # Arnoldi Hessenberg, so keep an untouched copy when asked to
-    Hraw = np.zeros((m + 1, m)) if keep_basis else None
     cs = np.zeros(m)
     sn = np.zeros(m)
     g = np.zeros(m + 1)
     scratch = np.empty(n)
 
-    def _basis():
-        # last completed cycle's Arnoldi data, or None when harvesting
-        # is off / the solve converged before any inner iteration ran
-        if Hraw is None or j_done == 0:
-            return None
-        return (V[:, :j_done + 1].copy(),
-                Hraw[:j_done + 1, :j_done].copy())
-
     def _append(rel: float, iterate=None):
         # every appended residual is reported exactly once; the iterate
         # rides along at restart boundaries only
         residuals.append(rel)
-        prof.iteration(total_it, rel)
+        profile.iteration(rec, total_it, rel)
         if health is not None:
             health.observe(total_it, rel, iterate)
         if callback is not None:
@@ -214,7 +188,7 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     beta = kern.norm(r)
     while True:
         if cycle > 0:
-            prof.restart(cycle, total_it)
+            profile.restart(rec, cycle, total_it)
         cycle += 1
         syncs += 1
         _append(beta / bnorm, x)
@@ -234,7 +208,7 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
                 w = A_mul(Z[:, j])
             # Gram–Schmidt through the kernel backend (reference: MGS,
             # counted as the 2 syncs of distributed classical GS)
-            with prof.phase("orthogonalization"):
+            with rec.span("orthogonalization"):
                 syncs += kern.ortho_step(V, w, H, j, scratch)
                 if H[j + 1, j] > 0:
                     if health is not None and j > 0:
@@ -243,9 +217,8 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
                             total_it, float(V[:, j + 1] @ V[:, 0]))
                 else:
                     # lucky breakdown — the basis stopped growing
-                    prof.orthogonality_loss(total_it, float(H[j + 1, j]))
-            if Hraw is not None:
-                Hraw[:j + 2, j] = H[:j + 2, j]
+                    profile.orthogonality_loss(rec, total_it,
+                                               float(H[j + 1, j]))
             # apply stored Givens rotations to the new column
             for i in range(j):
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
@@ -276,22 +249,19 @@ def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
         beta = kern.norm(r)
         if beta <= target:
             residuals[-1] = beta / bnorm
-            prof.iteration(total_it, beta / bnorm, corrected=True)
+            profile.iteration(rec, total_it, beta / bnorm, corrected=True)
             break
         if total_it >= maxiter:
             if raise_on_stall:
                 raise ConvergenceError(
                     f"GMRES stalled at {residuals[-1]:.3e} after "
-                    f"{total_it} iterations", x=x, residuals=residuals,
-                    profile=prof.as_dict())
+                    f"{total_it} iterations", x=x, residuals=residuals)
             return KrylovResult(x=x, iterations=total_it,
                                 residuals=residuals, converged=False,
-                                global_syncs=syncs, profile=prof.as_dict(),
-                                basis=_basis())
+                                global_syncs=syncs)
     return KrylovResult(x=x, iterations=total_it, residuals=residuals,
                         converged=residuals[-1] * bnorm <= target * (1 + 1e-12),
-                        global_syncs=syncs, profile=prof.as_dict(),
-                        basis=_basis())
+                        global_syncs=syncs)
 
 
 def fgmres(A, b: np.ndarray, **options) -> KrylovResult:

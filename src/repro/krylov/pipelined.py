@@ -19,14 +19,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import KrylovError
+from ..obs.recorder import NULL_RECORDER
+from . import profile
 from .gmres import KrylovResult, _as_operator
-from .profile import SolveProfiler, finish_zero_rhs
 
 
 def p1_gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
              tol: float = 1e-6, restart: int = 40, maxiter: int = 1000,
              callback=None,
-             profiler: SolveProfiler | None = None,
+             recorder=None,
              health=None) -> KrylovResult:
     """Right-preconditioned pipelined GMRES(m) (p1-GMRES).
 
@@ -39,18 +40,16 @@ def p1_gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     n = b.shape[0]
     if restart < 1:
         raise KrylovError(f"restart must be >= 1, got {restart}")
-    prof = profiler if profiler is not None else SolveProfiler()
-    A_mul = prof.wrap(_as_operator(A, n, "A"), "matvec")
-    M_mul = prof.wrap(_as_operator(M, n, "M"), "apply")
+    rec = NULL_RECORDER if recorder is None else recorder
+    A_mul = profile.instrument(rec, _as_operator(A, n, "A"), "matvec")
+    M_mul = profile.instrument(rec, _as_operator(M, n, "M"), "apply")
     op = lambda v: A_mul(M_mul(v))  # noqa: E731 - local composition
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    if health is not None:
-        health.profiler = prof
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return finish_zero_rhs(n, profiler=prof, callback=callback,
-                               health=health)
+        return profile.finish_zero_rhs(n, recorder=rec, callback=callback,
+                                       health=health)
     target = tol * bnorm
 
     residuals: list[float] = []
@@ -67,13 +66,13 @@ def p1_gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
 
     while True:
         if cycle > 0:
-            prof.restart(cycle, total_it)
+            profile.restart(rec, cycle, total_it)
         cycle += 1
         r = b - A_mul(x)
         beta = float(np.linalg.norm(r))
         blocking_syncs += 1
         residuals.append(beta / bnorm)
-        prof.iteration(total_it, beta / bnorm)
+        profile.iteration(rec, total_it, beta / bnorm)
         if health is not None:
             health.observe(total_it, beta / bnorm, x)
         if callback is not None:
@@ -91,7 +90,7 @@ def p1_gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
                 eta = H[i - 1, i - 2]
                 if eta == 0.0:
                     # lucky breakdown: basis is invariant
-                    prof.orthogonality_loss(total_it, 0.0)
+                    profile.orthogonality_loss(rec, total_it, 0.0)
                     break
                 V[:, i - 1] /= eta
                 Z[:, i] /= eta
@@ -112,14 +111,14 @@ def p1_gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
             # line 12: h_{j,i} = ⟨z_{i+1}, v_j⟩ — fused with the norm above
             # into ONE reduction, posted non-blocking (hidden behind the
             # next matvec in a parallel run)
-            with prof.phase("orthogonalization"):
+            with rec.span("orthogonalization"):
                 H[:i + 1, i] = V[:, :i + 1].T @ Z[:, i + 1]
             overlapped += 1
 
             if finalized:
                 res = _lsq_residual(H, beta, finalized)
                 residuals.append(res / bnorm)
-                prof.iteration(total_it, res / bnorm)
+                profile.iteration(rec, total_it, res / bnorm)
                 if health is not None:
                     health.observe(total_it, res / bnorm)
                 if callback is not None:
@@ -136,19 +135,17 @@ def p1_gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
         blocking_syncs += 1
         if rtrue <= target:
             residuals[-1] = rtrue / bnorm
-            prof.iteration(total_it, rtrue / bnorm, corrected=True)
+            profile.iteration(rec, total_it, rtrue / bnorm, corrected=True)
             break
         if total_it >= maxiter:
             return KrylovResult(x=x, iterations=total_it,
                                 residuals=residuals, converged=False,
                                 global_syncs=blocking_syncs,
-                                overlapped_reductions=overlapped,
-                                profile=prof.as_dict())
+                                overlapped_reductions=overlapped)
     return KrylovResult(x=x, iterations=total_it, residuals=residuals,
                         converged=residuals[-1] * bnorm <= target * (1 + 1e-12),
                         global_syncs=blocking_syncs,
-                        overlapped_reductions=overlapped,
-                        profile=prof.as_dict())
+                        overlapped_reductions=overlapped)
 
 
 def _hbar(H: np.ndarray, k: int) -> np.ndarray:

@@ -19,14 +19,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import KrylovError
+from ..obs.recorder import NULL_RECORDER
+from . import profile
 from .gmres import KrylovResult, _as_operator
-from .profile import SolveProfiler, finish_zero_rhs
 
 
 def s_step_gmres(A, b: np.ndarray, *, M=None, s: int = 6,
                  x0: np.ndarray | None = None, tol: float = 1e-6,
                  maxiter: int = 1000, callback=None,
-                 profiler: SolveProfiler | None = None,
+                 recorder=None,
                  health=None) -> KrylovResult:
     """Right-preconditioned s-step GMRES (restart length = s).
 
@@ -40,18 +41,16 @@ def s_step_gmres(A, b: np.ndarray, *, M=None, s: int = 6,
     n = b.shape[0]
     if not (1 <= s <= n):
         raise KrylovError(f"s must be in [1, {n}], got {s}")
-    prof = profiler if profiler is not None else SolveProfiler()
-    A_mul = prof.wrap(_as_operator(A, n, "A"), "matvec")
-    M_mul = prof.wrap(_as_operator(M, n, "M"), "apply")
+    rec = NULL_RECORDER if recorder is None else recorder
+    A_mul = profile.instrument(rec, _as_operator(A, n, "A"), "matvec")
+    M_mul = profile.instrument(rec, _as_operator(M, n, "M"), "apply")
     op = lambda v: A_mul(M_mul(v))          # noqa: E731
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    if health is not None:
-        health.profiler = prof
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return finish_zero_rhs(n, profiler=prof, callback=callback,
-                               health=health)
+        return profile.finish_zero_rhs(n, recorder=rec, callback=callback,
+                                       health=health)
     target = tol * bnorm
 
     residuals: list[float] = []
@@ -62,13 +61,13 @@ def s_step_gmres(A, b: np.ndarray, *, M=None, s: int = 6,
 
     while True:
         if cycle > 0:
-            prof.restart(cycle, total_it)
+            profile.restart(rec, cycle, total_it)
         cycle += 1
         r = b - A_mul(x)
         beta = float(np.linalg.norm(r))
         syncs += 1
         residuals.append(beta / bnorm)
-        prof.iteration(total_it, beta / bnorm)
+        profile.iteration(rec, total_it, beta / bnorm)
         if health is not None:
             health.observe(total_it, beta / bnorm, x)
         if callback is not None:
@@ -93,7 +92,7 @@ def s_step_gmres(A, b: np.ndarray, *, M=None, s: int = 6,
 
         # ---- orthonormalise with two batched reductions ---------------
         # CholeskyQR: G = PᵀP (reduction #1), P Q R with R = chol(G)ᵀ
-        with prof.phase("orthogonalization"):
+        with rec.span("orthogonalization"):
             G = P.T @ P
         syncs += 1
         # regularise: the monomial basis may be numerically rank-deficient
@@ -129,7 +128,7 @@ def s_step_gmres(A, b: np.ndarray, *, M=None, s: int = 6,
         total_it += k
         est = float(np.linalg.norm(g[: k + 1] - H[: k + 1, :k] @ y))
         residuals.append(est / bnorm)
-        prof.iteration(total_it, est / bnorm)
+        profile.iteration(rec, total_it, est / bnorm)
         if health is not None:
             health.observe(total_it, est / bnorm, x)
         if callback is not None:
@@ -137,13 +136,12 @@ def s_step_gmres(A, b: np.ndarray, *, M=None, s: int = 6,
         if total_it >= maxiter:
             rtrue = float(np.linalg.norm(b - A_mul(x)))
             residuals[-1] = rtrue / bnorm
-            prof.iteration(total_it, rtrue / bnorm, corrected=True)
+            profile.iteration(rec, total_it, rtrue / bnorm, corrected=True)
             return KrylovResult(x=x, iterations=total_it,
                                 residuals=residuals,
                                 converged=rtrue <= target,
-                                global_syncs=syncs,
-                                profile=prof.as_dict())
+                                global_syncs=syncs)
     return KrylovResult(x=x, iterations=total_it, residuals=residuals,
                         converged=residuals[-1] * bnorm
                         <= target * (1 + 1e-12),
-                        global_syncs=syncs, profile=prof.as_dict())
+                        global_syncs=syncs)

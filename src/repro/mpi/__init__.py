@@ -1,7 +1,6 @@
 """Simulated MPI substrate: thread-per-rank SPMD with metered traffic."""
 
 from .meter import Meter, RankStats, payload_bytes
-from .trace import Span, Tracer
 from .simmpi import Comm, NeighborComm, Request, run_spmd
 
 __all__ = [
@@ -12,6 +11,4 @@ __all__ = [
     "Meter",
     "RankStats",
     "payload_bytes",
-    "Tracer",
-    "Span",
 ]

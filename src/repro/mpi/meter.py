@@ -89,8 +89,8 @@ class Meter:
         self.world_size = world_size
         self._stats = [RankStats() for _ in range(world_size)]
         self._lock = threading.Lock()
-        #: optional :class:`repro.mpi.trace.Tracer` for span recording
-        self.tracer = None
+        #: the run's recorder: traffic counters, and the ``rank{r}``
+        #: spans of :meth:`repro.core.spmd.SpmdRank._span`
         self.recorder = NULL_RECORDER if recorder is None else recorder
         #: fault-tolerance aggregates (whole-run, not per-rank)
         self.rank_deaths = 0

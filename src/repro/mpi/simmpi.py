@@ -846,9 +846,8 @@ def run_spmd(nranks: int, fn, *args, meter: Meter | None = None,
 
     Passing a :class:`repro.obs.Recorder` as *recorder* instruments the
     run end to end: the (possibly auto-created) meter feeds the ``mpi.*``
-    traffic counters, and a per-rank :class:`~repro.mpi.trace.Tracer` is
-    attached (unless the caller already set one) so rank spans land on
-    the shared timeline as ``rank{r}`` tracks.
+    traffic counters and carries the recorder to the ranks, whose spans
+    land on the shared timeline as ``rank{r}`` tracks.
 
     Passing a :class:`repro.resilience.FaultPlan` (or a ready
     :class:`~repro.resilience.FaultInjector`) as *faults* arms
@@ -890,9 +889,6 @@ def run_spmd(nranks: int, fn, *args, meter: Meter | None = None,
         meter = Meter(nranks, recorder=recorder)
     elif recorder is not None and not meter.recorder.enabled:
         meter.recorder = recorder
-    if recorder is not None and recorder.enabled and meter.tracer is None:
-        from .trace import Tracer
-        meter.tracer = Tracer(nranks, recorder=recorder)
     injector = None
     timeout = _TIMEOUT
     if faults is not None:

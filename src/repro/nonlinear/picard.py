@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.errors import ReproError
-from ..common.timing import PhaseTimer
 from ..core.adef import TwoLevelADEF1
 from ..core.coarse import CoarseOperator
 from ..core.deflation import DeflationSpace
@@ -39,6 +38,7 @@ from ..dd.problem import Problem
 from ..fem.forms import DiffusionForm
 from ..krylov import gmres
 from ..mesh import SimplexMesh
+from ..obs.recorder import Recorder
 from ..partition import partition_mesh
 
 
@@ -51,7 +51,10 @@ class NonlinearReport:
     linear_iterations: list[int] = field(default_factory=list)
     updates: list[float] = field(default_factory=list)
     converged: bool = True
-    timer: PhaseTimer = field(default_factory=PhaseTimer)
+    #: the solve's phase spans (``decomposition``, ``factorization``,
+    #: ``deflation``, ``coarse``, ``solution``) — per-phase seconds and
+    #: counts are ``recorder.totals()[phase]``
+    recorder: Recorder = field(default_factory=Recorder)
 
     @property
     def total_linear_iterations(self) -> int:
@@ -105,13 +108,13 @@ class PicardSolver:
         vertex_vals = x_full[:self.mesh.num_vertices]
         return vertex_vals[self.mesh.cells].mean(axis=1)
 
-    def _linear_setup(self, kappa, timer: PhaseTimer):
+    def _linear_setup(self, kappa, rec: Recorder):
         form = DiffusionForm(degree=self.degree, kappa=kappa, f=self.f)
         problem = Problem(self.mesh, form, dirichlet=self.dirichlet,
                           scaling="jacobi")
-        with timer.phase("decomposition"):
+        with rec.span("decomposition"):
             dec = Decomposition(problem, self.part, delta=self.delta)
-        with timer.phase("factorization"):
+        with rec.span("factorization"):
             ras = OneLevelRAS(dec)
         if self.coarse_strategy == "freeze" and self._frozen_pre is not None:
             # keep the old preconditioner entirely (operator changed!)
@@ -119,12 +122,12 @@ class PicardSolver:
         if self.coarse_strategy == "reuse" and self._frozen_W is not None:
             W = self._frozen_W
         else:
-            with timer.phase("deflation"):
+            with rec.span("deflation"):
                 W = [compute_deflation(s, nev=self.nev,
                                        seed=self.seed + s.index).W
                      for s in dec.subdomains]
             self._frozen_W = W
-        with timer.phase("coarse"):
+        with rec.span("coarse"):
             space = DeflationSpace(dec, W)
             pre = TwoLevelADEF1(ras, CoarseOperator(space))
         if self._frozen_pre is None:
@@ -138,11 +141,10 @@ class PicardSolver:
               u0: np.ndarray | None = None) -> NonlinearReport:
         """Run the Picard loop until the relative update ‖u⁺−u‖/‖u⁺‖
         drops below *picard_tol*."""
-        timer = PhaseTimer()
         centroids = self.mesh.cell_centroids()
         # initial coefficient from u = 0 (or the supplied start)
-        n_report = NonlinearReport(x=np.zeros(0), picard_iterations=0,
-                                   timer=timer)
+        n_report = NonlinearReport(x=np.zeros(0), picard_iterations=0)
+        rec = n_report.recorder
         x_full = u0
         u_cells = (np.zeros(self.mesh.num_cells) if u0 is None
                    else self._cell_average_init(u0))
@@ -156,9 +158,9 @@ class PicardSolver:
             if np.any(kappa <= 0):
                 raise ReproError("kappa_of_u produced non-positive "
                                  "diffusivity")
-            problem, dec, pre = self._linear_setup(kappa, timer)
+            problem, dec, pre = self._linear_setup(kappa, rec)
             b = problem.rhs()
-            with timer.phase("solution"):
+            with rec.span("solution"):
                 res = gmres(dec.matvec, b, M=pre.apply, tol=linear_tol,
                             restart=restart, maxiter=maxiter)
             x_new = problem.extend(res.x)

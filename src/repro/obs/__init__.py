@@ -2,9 +2,10 @@
 
 One :class:`Recorder` threads through setup (``SchwarzSolver`` →
 ``Decomposition``/``CoarseOperator``), the solve phase (every Krylov
-driver), the parallel setup engine and the simulated MPI layer; the four
-legacy mechanisms (``PhaseTimer``, ``SolveProfiler``, ``Tracer``,
-``Meter``) are thin adapters over it.  See ``docs/observability.md``.
+driver), the parallel setup engine and the simulated MPI layer, and it
+is the package's only clock: every reported time is one of its spans.
+The MPI :class:`~repro.mpi.Meter` counts traffic and feeds its counters.
+See ``docs/observability.md``.
 
 On top of the capture layer sit two analysis surfaces:
 
@@ -31,6 +32,7 @@ from .analysis import (
 from .export import (
     FORMATS,
     TraceData,
+    gantt,
     load_trace,
     render_trace,
     summary,
@@ -65,6 +67,7 @@ __all__ = [
     "write_trace",
     "load_trace",
     "render_trace",
+    "gantt",
     # analysis
     "analyze",
     "critical_path",

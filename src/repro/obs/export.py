@@ -10,8 +10,7 @@ Three interchangeable views of one :class:`~repro.obs.Recorder`:
   line (``span`` / ``event`` / ``counters`` / ``gauges``), the format
   to diff between runs or feed to ad-hoc scripts.
 * **flat summary dict** (:func:`summary`) — per-span-name totals plus
-  the counters/gauges, the shape stored under the ``telemetry`` key of
-  ``benchmarks/results/BENCH_solve_apply.json``.
+  the counters/gauges, the shape a bench stores next to its results.
 
 :func:`write_trace` / :func:`load_trace` round-trip either file format;
 :func:`render_trace` turns a loaded file back into the ASCII Gantt +
@@ -222,10 +221,10 @@ def load_trace(path) -> TraceData:
 # ASCII rendering (the ``repro trace`` subcommand)
 # ----------------------------------------------------------------------
 
-def _gantt(trace: TraceData, *, width: int = 78,
-           max_tracks: int = 16) -> str:
-    """ASCII Gantt over tracks — the telemetry twin of
-    :meth:`repro.mpi.trace.Tracer.gantt`, labelled by track name."""
+def gantt(trace, *, width: int = 78, max_tracks: int = 16) -> str:
+    """ASCII Gantt chart of a live :class:`Recorder` or a loaded
+    :class:`TraceData`: one row per track (``main``, workers,
+    ``rank{r}``), one glyph per span name."""
     spans = trace.spans
     if not spans:
         return "(no spans recorded)"
@@ -268,7 +267,7 @@ def render_trace(trace: TraceData, *, width: int = 78,
     """The ASCII report of a loaded trace: Gantt, phase table, counters."""
     from ..common.asciiplot import table
 
-    parts = [_gantt(trace, width=width, max_tracks=max_tracks)]
+    parts = [gantt(trace, width=width, max_tracks=max_tracks)]
     totals = trace.totals()
     if totals:
         rows = [[name, f"{t['seconds'] * 1e3:.3f}", str(t["count"])]

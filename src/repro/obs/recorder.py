@@ -1,10 +1,10 @@
 """The telemetry core: one recorder for spans, counters and events.
 
-The repo used to measure its cost breakdown — the per-phase times of
-figs. 8/10, the §3.3 message counts, the reductions §3.5 pipelines away
-— with four disconnected mechanisms (``PhaseTimer``, ``SolveProfiler``,
-``Tracer``, ``Meter``) that neither nested nor shared a clock.  This
-module is the single source of truth they now adapt to:
+The :class:`Recorder` is the package's only clock.  Every timing the
+package reports — the per-phase times of figs. 8/10, the Krylov cost
+centres, the per-subdomain setup tasks, the SPMD rank timelines — is a
+span on the recorder the caller passed; the §3.3 message counts arrive
+as counters fed by :class:`repro.mpi.meter.Meter`.  It records:
 
 * **hierarchical spans** — every span opened on a thread nests inside
   the span currently open on that thread, so ``coarse_solve`` sits
@@ -15,14 +15,16 @@ module is the single source of truth they now adapt to:
 * **instant events** — per-iteration convergence records from the
   Krylov drivers (residual, restart boundary, orthogonality loss).
 
-All clocks are one ``time.perf_counter`` origin (:attr:`Recorder.t0`),
+All times share one ``time.perf_counter`` origin (:attr:`Recorder.t0`),
 so spans from SPMD rank threads, setup workers and the driver thread
 land on a common timeline and can be exported together
 (:mod:`repro.obs.export`).
 
-Un-instrumented runs pay ~zero cost: every instrumented call site holds
-a :class:`NullRecorder` by default and guards on :attr:`enabled` before
-doing any work.
+Un-instrumented solves read no clock at all: every instrumented call
+site holds a :class:`NullRecorder` by default and guards on
+:attr:`enabled` before doing any work.  (The per-subdomain set-up times
+of :func:`repro.parallel.timed_map` are spans on a recorder local to
+the call.)
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class _SpanHandle:
     """Context manager for one live span (single use)."""
 
     __slots__ = ("_rec", "_name", "_track", "_attrs", "_start", "_index",
-                 "_parent")
+                 "_parent", "record")
 
     def __init__(self, rec: "Recorder", name: str, track: str | None,
                  attrs: dict | None):
@@ -94,6 +96,9 @@ class _SpanHandle:
             else rec._default_track(),
             start=self._start, end=end, index=self._index,
             parent=self._parent, attrs=self._attrs)
+        #: the closed span, kept on the handle for callers that need its
+        #: duration even after a ring buffer has dropped it
+        self.record = record
         with rec._lock:
             rec.spans.append(record)
         return False

@@ -17,22 +17,22 @@ derives its randomness from a per-subdomain seed, and results are
 returned in submission order.  Parallel and serial runs are therefore
 bitwise identical (asserted in ``tests/test_parallel.py``).
 
-Timing contract: :func:`timed_map` measures each task on its own clock,
-so per-subdomain phase times survive under any executor.  The SPMD
-wall-clock of a concurrently executed phase (figs. 8/10) is the *max*
-over subdomains, not the sum — exactly what
-:func:`repro.perfmodel.measure_row` computes from these arrays.
+Timing contract: :func:`timed_map` records each task as its own span on
+a :class:`repro.obs.Recorder`, so per-subdomain phase times survive
+under any executor.  The SPMD wall-clock of a concurrently executed
+phase (figs. 8/10) is the *max* over subdomains, not the sum — exactly
+what :func:`repro.perfmodel.measure_row` computes from these arrays.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..common.errors import ReproError
+from ..obs.recorder import Recorder
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -51,7 +51,8 @@ class ParallelConfig:
         ``"serial"`` (default) or ``"threads"``.
     workers:
         Thread count for the ``"threads"`` backend; ``None`` auto-sizes
-        to ``min(8, os.cpu_count())``.  Ignored by ``"serial"``.
+        to ``min(8, CPUs this process may run on)``.  Ignored by
+        ``"serial"``.
     """
 
     backend: str = "serial"
@@ -71,10 +72,19 @@ class ParallelConfig:
             return 1
         if self.workers is not None:
             return self.workers
-        return min(8, os.cpu_count() or 1)
+        return min(8, _usable_cpus())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ParallelConfig({self.backend!r}, workers={self.num_workers})"
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS
+    exposes one (``os.cpu_count()`` overstates an affinity-limited
+    host), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 #: the module default used when callers pass ``parallel=None``
@@ -117,30 +127,26 @@ def timed_map(fn: Callable[[T], R], items: Sequence[T],
               parallel: ParallelConfig | str | None = None,
               *, recorder=None, label: str | None = None,
               ) -> tuple[list[R], list[float]]:
-    """:func:`parallel_map` that also times each task on its own clock.
+    """:func:`parallel_map` that also times each task.
 
-    Returns ``(results, seconds)`` aligned with *items*.  ``seconds[i]``
-    is the wall-clock of task *i* alone — the per-subdomain phase times
-    of figs. 8/10, valid under any executor (SPMD wall-clock of the
-    phase = ``max(seconds)``).
-
-    With a :class:`repro.obs.Recorder` as *recorder*, task *i* is also
-    recorded as the span ``{label}[{i}]`` on the worker thread that ran
-    it (accumulation into the recorder is thread-safe), so the executor's
-    concurrency is visible in exported traces — one track per worker.
+    Returns ``(results, seconds)`` aligned with *items*.  Task *i* runs
+    inside the span ``{label}[{i}]`` on the worker thread that ran it,
+    and ``seconds[i]`` is that span's duration — the per-subdomain phase
+    times of figs. 8/10, valid under any executor (SPMD wall-clock of
+    the phase = ``max(seconds)``).  The spans land on *recorder* (a
+    :class:`repro.obs.Recorder`, so the executor's concurrency is
+    visible in exported traces — one track per worker); without an
+    enabled one they go to a recorder local to this call.
     """
-    use_rec = recorder is not None and recorder.enabled
+    rec = recorder if recorder is not None and recorder.enabled \
+        else Recorder()
     name = label if label is not None else "task"
 
     def run(ix: tuple[int, T]) -> tuple[R, float]:
         i, x = ix
-        t0 = time.perf_counter()
-        if use_rec:
-            with recorder.span(f"{name}[{i}]"):
-                out = fn(x)
-        else:
+        with rec.span(f"{name}[{i}]") as span:
             out = fn(x)
-        return out, time.perf_counter() - t0
+        return out, span.record.duration
 
     pairs = parallel_map(run, list(enumerate(items)), parallel)
     return [p[0] for p in pairs], [p[1] for p in pairs]

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.solver import SchwarzSolver
+from ..obs.recorder import Recorder
+from ..parallel import timed_map
 from .machine import CURIE, MachineModel
 
 
@@ -96,16 +98,17 @@ def measure_row(solver: SchwarzSolver, *, tol: float = 1e-6,
 
     The local phases are re-timed *repeats* times and the best (minimum)
     is kept — the standard defence against single-core scheduler noise
-    on measurements in the millisecond range.
+    on measurements in the millisecond range.  The *solution* column
+    times this call's own solve, as a span on a recorder of its own.
     """
     from ..core.ras import OneLevelRAS
     from ..core.geneo import compute_deflation
-    import time as _time
 
     N = solver.decomposition.num_subdomains
     if num_masters is None:
         num_masters = max(1, N // 8)
-    report = solver.solve(tol=tol, restart=restart, maxiter=maxiter)
+    with Recorder().span("solution") as solve_span:
+        report = solver.solve(tol=tol, restart=restart, maxiter=maxiter)
     fact_times = list(solver.one_level.factor_times)
     defl_times = list(getattr(solver, "deflation_times",
                               [0.0] * N)) or [0.0] * N
@@ -115,15 +118,13 @@ def measure_row(solver: SchwarzSolver, *, tol: float = 1e-6,
                            backend=solver.one_level.backend)
         fact_times = np.minimum(fact_times, redo.factor_times).tolist()
         if nev:
-            redo_defl = []
-            for s in solver.decomposition.subdomains:
-                t0 = _time.perf_counter()
-                compute_deflation(s, nev=nev, seed=s.index)
-                redo_defl.append(_time.perf_counter() - t0)
+            _, redo_defl = timed_map(
+                lambda s: compute_deflation(s, nev=nev, seed=s.index),
+                solver.decomposition.subdomains)
             defl_times = np.minimum(defl_times, redo_defl).tolist()
     fact = _robust_max(fact_times)
     defl = _robust_max(defl_times)
-    t_seq = solver.timer.seconds("solution")
+    t_seq = solve_span.record.duration
     comm = iteration_comm_time(solver, model, num_masters)
     solution = t_seq / N + report.iterations * comm
     return ScalingRow(N=N, factorization=fact, deflation=defl,

@@ -29,7 +29,6 @@ import numpy as np
 
 from ..common.errors import (
     DivergenceError,
-    KrylovBreakdown,
     NonFiniteError,
     OrthogonalityError,
     StagnationError,
@@ -89,8 +88,6 @@ class HealthMonitor:
         self._since_checkpoint = 0
         #: typed breakdowns raised so far (for reporting)
         self.breakdowns: list[str] = []
-        #: set by the driver so raised breakdowns carry the profile
-        self.profiler = None
 
     # ------------------------------------------------------------------
     def _fail(self, cls, message: str, k: int, reason: str):
@@ -103,11 +100,8 @@ class HealthMonitor:
         if self.checkpoint is not None:
             kc, xc = self.checkpoint
             x = xc.copy()
-        profile = None
-        if self.profiler is not None:
-            profile = self.profiler.as_dict()
         exc = cls(message, x=x, residuals=list(self.residuals),
-                  iteration=kc, profile=profile)
+                  iteration=kc)
         if self.recorder.ring is not None:
             # flight-recorder mode: snapshot the ring buffers onto the
             # breakdown so the last K spans/events reach
@@ -175,7 +169,3 @@ class HealthMonitor:
                        f"orthogonality defect {defect:.3e} > "
                        f"{self.orthogonality_tol:.1e} at iteration {k}",
                        k, "orthogonality")
-
-    def attach_profile(self, exc: KrylovBreakdown, profile: dict) -> None:
-        """Late-bind the profiler summary onto a raised breakdown."""
-        exc.profile = dict(profile)

@@ -1,5 +1,5 @@
-"""Batched multi-RHS solving, subspace recycling, Krylov registry,
-warm starts and the shared zero-RHS semantics."""
+"""Batched multi-RHS solving, Krylov registry, warm starts and the
+shared zero-RHS semantics."""
 
 from __future__ import annotations
 
@@ -182,49 +182,6 @@ class TestSolveMany:
 
 
 # ----------------------------------------------------------------------
-# Subspace recycling (tentpole)
-# ----------------------------------------------------------------------
-
-class TestRecycling:
-    def test_recycling_reduces_iterations(self):
-        s = _make_solver()
-        session = s.session(recycle_dim=8)
-        b = s.problem.rhs()
-        first = session.solve(b, tol=1e-8)
-        second = session.solve(1.01 * b, tol=1e-8)
-        assert first.converged and second.converged
-        assert second.iterations < first.iterations
-        assert session.recycle_active
-        assert session.coarse_dim > s.coarse_dim
-
-    def test_recycling_one_level(self):
-        # a one-level solver gains an a-posteriori coarse level made of
-        # harvested Ritz vectors — the dramatic case
-        s = _make_solver(levels=1, preconditioner="ras")
-        session = s.session(recycle_dim=10)
-        b = s.problem.rhs()
-        first = session.solve(b, tol=1e-6, maxiter=400)
-        second = session.solve(1.01 * b, tol=1e-6, maxiter=400)
-        assert second.iterations < first.iterations
-
-    def test_reset_recycling(self, solver):
-        session = solver.session(recycle_dim=4)
-        b = solver.problem.rhs()
-        session.solve(b, tol=1e-8)
-        assert session.recycle_active
-        session.reset_recycling()
-        assert not session.recycle_active
-        assert session.coarse_dim == solver.coarse_dim
-
-    def test_recycle_false_keeps_base(self, solver):
-        session = solver.session()
-        b = solver.problem.rhs()
-        rep = session.solve(b, tol=1e-8, recycle=False)
-        assert rep.converged
-        assert not session.recycle_active
-
-
-# ----------------------------------------------------------------------
 # Health monitoring across every registered driver
 # ----------------------------------------------------------------------
 
@@ -263,5 +220,3 @@ class TestSessionApi:
             session.solve_many(np.zeros(5))          # 1-D
         with pytest.raises(ReproError):
             session.solve_many(np.zeros((5, 2)), driver="bogus")
-        with pytest.raises(ReproError):
-            solver.session(recycle_dim=-1)

@@ -1,54 +1,12 @@
-"""Tests for common utilities: timers, validation, ASCII plotting."""
-
-import time
+"""Tests for common utilities: validation, ASCII plotting."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.common import PhaseTimer, Timer, as_1d_float, as_csr, check_square, check_symmetric, require
+from repro.common import as_1d_float, as_csr, check_square, check_symmetric, require
 from repro.common.asciiplot import semilogy, sparsity, table
 from repro.common.errors import MeshError, ReproError
-
-
-class TestPhaseTimer:
-    def test_accumulates(self):
-        t = PhaseTimer()
-        with t.phase("a"):
-            time.sleep(0.01)
-        with t.phase("a"):
-            pass
-        assert t.seconds("a") >= 0.01
-        assert t.counts["a"] == 2
-
-    def test_add(self):
-        t = PhaseTimer()
-        t.add("x", 1.5)
-        t.add("x", 0.5)
-        assert t.seconds("x") == pytest.approx(2.0)
-
-    def test_total(self):
-        t = PhaseTimer()
-        t.add("a", 1.0)
-        t.add("b", 2.0)
-        assert t.total() == pytest.approx(3.0)
-
-    def test_merge_max(self):
-        t1, t2 = PhaseTimer(), PhaseTimer()
-        t1.add("a", 1.0)
-        t2.add("a", 3.0)
-        t2.add("b", 0.5)
-        t1.merge_max(t2)
-        assert t1.seconds("a") == 3.0
-        assert t1.seconds("b") == 0.5
-
-    def test_unknown_phase_zero(self):
-        assert PhaseTimer().seconds("never") == 0.0
-
-    def test_timer_context(self):
-        with Timer() as t:
-            time.sleep(0.005)
-        assert t.elapsed >= 0.005
 
 
 class TestValidation:

@@ -1,13 +1,15 @@
 """Pinned GMRES / FGMRES histories on the reference ``numpy`` backend.
 
 ``gmres_pins.npz`` was recorded at the commit *before* the four
-restarted-GMRES loops were merged into one (ISSUE 14) and is compared
-with ``np.array_equal``: residual histories, iteration counts, iterates
-and harvested Arnoldi data of the one loop must be bit for bit what the
-separate ``gmres`` and ``fgmres`` produced.  The cases cover what the
-copies did differently or not at all: a solve that restarts mid-way, a
-warm start, ``keep_basis=True``, an iteration-varying ``M`` under
-``fgmres``, and both drivers through ``SchwarzSolver.solve``.
+restarted-GMRES loops were merged into one and is compared with
+``np.array_equal``: residual histories, iteration counts, iterates and
+the last cycle's Arnoldi data of the one loop must be bit for bit what
+the separate ``gmres`` and ``fgmres`` produced.  The cases cover what
+the copies did differently or not at all: a solve that restarts
+mid-way, a warm start, the last cycle's Arnoldi data (rebuilt here
+from the restart iterate the loop hands its ``health=`` observer), an
+iteration-varying ``M`` under ``fgmres``, and both drivers through
+``SchwarzSolver.solve``.
 
 Regenerate (only when the arithmetic is *meant* to change) with
 ``PYTHONPATH=src python tests/test_gmres_pins.py``.
@@ -23,6 +25,7 @@ import pytest
 from repro import SchwarzSolver
 from repro.fem import channels_and_inclusions
 from repro.fem.forms import DiffusionForm
+from repro.kernels import default_backend
 from repro.krylov import fgmres, gmres
 from repro.mesh import unit_square
 
@@ -41,8 +44,43 @@ def _record(out: dict, case: str, res) -> None:
     out[f"{case}/x"] = res.x
     out[f"{case}/residuals"] = np.asarray(res.residuals)
     out[f"{case}/iterations"] = np.asarray(res.iterations)
-    if res.basis is not None:
-        out[f"{case}/V"], out[f"{case}/H"] = res.basis
+
+
+class _RestartIterates:
+    """A ``health=`` observer keeping the iterate the loop hands over
+    at every restart boundary."""
+
+    def __init__(self):
+        self.boundaries: list[tuple[int, np.ndarray]] = []
+
+    def observe(self, k, residual, x=None):
+        if x is not None:
+            self.boundaries.append((k, x.copy()))
+
+    def check_vector(self, name, v, k):
+        pass
+
+    def orthogonality(self, k, defect):
+        pass
+
+
+def _last_cycle_arnoldi(A, M, b, restart, iterations, boundaries):
+    """``(V, H̄)`` of a ``gmres`` solve's last cycle — V of shape
+    (n, k+1) and the Hessenberg *before* the Givens rotations, (k+1, k)
+    — rebuilt from that cycle's restart iterate with the reference MGS
+    kernel on the loop's column-major workspace."""
+    kern = default_backend()
+    k0, x = boundaries[-1]
+    k = iterations - k0
+    n = b.shape[0]
+    V = np.empty((n, restart + 1), order="F")
+    H = np.zeros((restart + 1, restart))
+    scratch = np.empty(n)
+    r = b - A(x)
+    np.divide(r, kern.norm(r), out=V[:, 0])
+    for j in range(k):
+        kern.ortho_step(V, A(M(V[:, j])), H, j, scratch)
+    return V[:, :k + 1].copy(), H[:k + 1, :k].copy()
 
 
 def compute_cases() -> dict[str, np.ndarray]:
@@ -70,8 +108,11 @@ def compute_cases() -> dict[str, np.ndarray]:
         _record(out, f"{name}-stall", method(
             A, b, M=solver.one_level.apply, tol=1e-12, restart=3,
             maxiter=7))
-    _record(out, "gmres-basis", gmres(
-        A, b, M=M, tol=1e-10, restart=6, maxiter=200, keep_basis=True))
+    seen = _RestartIterates()
+    res = gmres(A, b, M=M, tol=1e-10, restart=6, maxiter=200, health=seen)
+    _record(out, "gmres-basis", res)
+    out["gmres-basis/V"], out["gmres-basis/H"] = _last_cycle_arnoldi(
+        A, M, b, 6, res.iterations, seen.boundaries)
     _record(out, "fgmres-variable", fgmres(
         A, b, M=varying_M(), tol=1e-10, restart=5, maxiter=200))
     for krylov in ("gmres", "fgmres"):

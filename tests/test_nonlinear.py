@@ -79,8 +79,9 @@ class TestPicard:
                            nev=4, coarse="reuse")
         r2 = reu.solve(picard_tol=1e-8, max_picard=40)
         # rebuild pays #picard-many deflation phases, reuse pays one
-        assert r1.timer.counts["deflation"] == r1.picard_iterations
-        assert r2.timer.counts["deflation"] == 1
+        assert r1.recorder.totals()["deflation"]["count"] == \
+            r1.picard_iterations
+        assert r2.recorder.totals()["deflation"]["count"] == 1
         # same fixed point
         assert np.allclose(r1.x, r2.x, atol=1e-5 * abs(r1.x).max())
 

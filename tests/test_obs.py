@@ -238,24 +238,38 @@ class TestExporters:
 
 class TestAdapters:
     def test_phase_timer_mirrors_spans(self):
-        from repro.common.timing import PhaseTimer
+        """The solver's phase timing is spans: setup phases once, one
+        ``solution`` span per solve."""
+        from repro import SchwarzSolver
+        from repro.fem.forms import DiffusionForm
+        from repro.mesh import unit_square
         rec = Recorder()
-        timer = PhaseTimer(recorder=rec)
-        with timer.phase("decomposition"):
-            pass
-        assert timer.counts["decomposition"] == 1
-        assert len(rec.find("decomposition")) == 1
+        s = SchwarzSolver(unit_square(8), DiffusionForm(degree=1),
+                          num_subdomains=2, nev=2, recorder=rec)
+        s.solve(tol=1e-8)
+        s.solve(tol=1e-8)
+        totals = rec.totals()
+        for phase in ("decomposition", "factorization", "deflation",
+                      "coarse"):
+            assert totals[phase]["count"] == 1
+        assert totals["solution"]["count"] == 2
 
     def test_solve_profiler_mirrors_phases(self):
-        from repro.krylov import SolveProfiler
+        """The solve profile is spans: a driver given a recorder spans
+        each operator call, and a span opened inside the preconditioner
+        nests inside ``apply``."""
+        from repro.krylov import gmres
         rec = Recorder()
-        prof = SolveProfiler(recorder=rec)
-        fn = prof.wrap(lambda x: x + 1, "matvec")
-        assert fn(1) == 2
-        with prof.phase("apply"):
-            with prof.phase("coarse_solve"):
-                pass
-        assert prof.calls == {"matvec": 1, "apply": 1, "coarse_solve": 1}
+        A = np.diag(np.arange(1.0, 9.0))
+
+        def M(x):
+            with rec.span("coarse_solve"):
+                return x / np.diag(A)
+
+        r = gmres(A, np.ones(8), M=M, tol=1e-10, recorder=rec)
+        totals = rec.totals()
+        assert totals["apply"]["count"] == totals["coarse_solve"]["count"]
+        assert totals["matvec"]["count"] >= r.iterations
         assert rec.nested_within("coarse_solve", "apply")
 
     def test_timed_map_labels_tasks(self):
@@ -268,6 +282,9 @@ class TestAdapters:
         assert len(secs) == 3
         assert sorted(s.name for s in rec.spans) == \
             ["sq[0]", "sq[1]", "sq[2]"]
+        # the returned seconds are the spans' durations
+        by_name = {s.name: s.duration for s in rec.spans}
+        assert secs == [by_name[f"sq[{i}]"] for i in range(3)]
 
     def test_meter_feeds_counters(self):
         from repro.mpi import Meter
@@ -299,6 +316,22 @@ class TestAdapters:
         assert out == [0, 1, 2]
         assert rec.counters["mpi.sends"] == 3
         assert rec.counters["mpi.send_bytes"] == 3 * 32
+
+
+class TestOneClock:
+    def test_perf_counter_only_in_recorder(self):
+        """The Recorder is the package's only clock: no other module of
+        ``src/repro`` reads ``perf_counter``.  (The ``time.monotonic``
+        deadlines of ``mpi/simmpi.py`` and ``core/spmd_ft.py`` are
+        timeouts, not telemetry, and stay.)"""
+        from pathlib import Path
+
+        import repro
+        root = Path(repro.__file__).parent
+        readers = sorted(str(p.relative_to(root))
+                         for p in root.rglob("*.py")
+                         if "perf_counter" in p.read_text())
+        assert readers == [str(Path("obs") / "recorder.py")]
 
 
 class TestPayloadBytes:
@@ -372,7 +405,9 @@ class TestEndToEnd:
         out = render_trace(load_trace(path))
         assert "coarse_solve" in out and "geneo[0]" in out
 
-    def test_default_solver_stays_uninstrumented(self):
+    def test_default_solver_stays_uninstrumented(self, monkeypatch):
+        import time
+
         from repro import SchwarzSolver
         from repro.fem.forms import DiffusionForm
         from repro.mesh import unit_square
@@ -380,6 +415,12 @@ class TestEndToEnd:
         s = SchwarzSolver(unit_square(8), DiffusionForm(degree=1),
                           num_subdomains=2, nev=2)
         assert not s.recorder.enabled
+
+        def no_clock():
+            raise AssertionError("un-instrumented solve read the clock")
+
+        # an un-instrumented solve reads no clock at all
+        monkeypatch.setattr(time, "perf_counter", no_clock)
         r = s.solve(tol=1e-8)
         assert r.converged
         assert not s.recorder.spans

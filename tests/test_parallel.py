@@ -49,6 +49,18 @@ class TestExecutor:
         assert res == [-3, -1, -2]
         assert len(times) == 3 and all(t >= 0 for t in times)
 
+    def test_workers_follow_affinity_mask(self, monkeypatch):
+        """Auto-sized workers count the CPUs this process may run on,
+        not every CPU of the host; without an affinity call the count
+        falls back to ``os.cpu_count()``.  No pool is started."""
+        import os
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert ParallelConfig("threads").num_workers == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ParallelConfig("threads").num_workers == 8
+
     def test_resolve(self):
         assert resolve_parallel(None).backend == "serial"
         assert resolve_parallel("threads").backend == "threads"

@@ -1,5 +1,5 @@
 """The fast deflated apply path: cached A·Z blocks, parallel RAS
-application, vectorized Z products and the per-phase solve profiler."""
+application, vectorized Z products and the per-phase solve profile."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,9 @@ from repro.core import (
     TwoLevelBNN,
     compute_deflation,
 )
-from repro.krylov import SolveProfiler, cg, fgmres, gmres, p1_gmres
+from repro.krylov import cg, fgmres, gmres, p1_gmres
 from repro.krylov.gmres import _as_operator
+from repro.obs import Recorder
 from repro.parallel import ParallelConfig
 
 
@@ -258,39 +259,45 @@ class TestAsOperator:
 
 
 class TestSolveProfiler:
+    """The per-phase solve profile, read from the solve's recorder."""
+
     @pytest.mark.parametrize("method", [gmres, fgmres, p1_gmres])
     def test_gmres_family_profiles(self, method, rng):
         A = np.diag(rng.uniform(1.0, 2.0, 40))
         b = rng.standard_normal(40)
-        res = method(A, b, tol=1e-10, restart=10, maxiter=100)
-        assert "matvec" in res.profile
-        assert "apply" in res.profile
-        assert "orthogonalization" in res.profile
-        assert all(v >= 0 for v in res.profile.values())
+        rec = Recorder()
+        method(A, b, tol=1e-10, restart=10, maxiter=100, recorder=rec)
+        totals = rec.totals()
+        assert "matvec" in totals
+        assert "apply" in totals
+        assert "orthogonalization" in totals
+        assert all(t["seconds"] >= 0 for t in totals.values())
 
     def test_cg_profiles(self, rng):
         A = np.diag(rng.uniform(1.0, 2.0, 40))
         b = rng.standard_normal(40)
-        res = cg(A, b, tol=1e-10, maxiter=100)
-        assert "matvec" in res.profile and "apply" in res.profile
+        rec = Recorder()
+        cg(A, b, tol=1e-10, maxiter=100, recorder=rec)
+        assert "matvec" in rec.totals() and "apply" in rec.totals()
 
     def test_shared_profiler_sees_coarse_solve(self, diffusion_stack, rng):
-        dec, ras, space, coarse = diffusion_stack
+        """A coarse operator built on the solve's recorder opens its
+        ``coarse_solve`` spans inside the driver's ``apply`` spans."""
+        dec, ras, space, _ = diffusion_stack
+        rec = Recorder()
+        coarse = CoarseOperator(space, recorder=rec)
         pre = TwoLevelADEF1(ras, coarse)
-        prof = SolveProfiler()
-        coarse.profiler = prof
-        try:
-            A = dec.problem.matrix()
-            b = dec.problem.rhs()
-            res = gmres(A, b, M=pre.apply, tol=1e-8, restart=40,
-                        maxiter=100, profiler=prof)
-        finally:
-            coarse.profiler = None
+        A = dec.problem.matrix()
+        b = dec.problem.rhs()
+        res = gmres(A, b, M=pre.apply, tol=1e-8, restart=40,
+                    maxiter=100, recorder=rec)
         assert res.converged
-        assert "coarse_solve" in res.profile
-        assert prof.calls["coarse_solve"] >= res.iterations
+        totals = rec.totals()
+        assert totals["coarse_solve"]["count"] >= res.iterations
         # coarse solves happen inside the preconditioner application
-        assert res.profile["coarse_solve"] <= res.profile["apply"] + 1e-9
+        assert rec.nested_within("coarse_solve", "apply")
+        assert totals["coarse_solve"]["seconds"] <= \
+            totals["apply"]["seconds"]
 
     def test_schwarz_solver_surfaces_profile(self):
         from repro import SchwarzSolver
@@ -300,12 +307,14 @@ class TestSolveProfiler:
         mesh = unit_square(12)
         form = DiffusionForm(degree=2,
                              kappa=channels_and_inclusions(mesh, seed=3))
-        solver = SchwarzSolver(mesh, form, num_subdomains=4, nev=4)
+        rec = Recorder()
+        solver = SchwarzSolver(mesh, form, num_subdomains=4, nev=4,
+                               recorder=rec)
         report = solver.solve(tol=1e-8)
         assert report.converged
-        prof = report.krylov.profile
+        totals = rec.totals()
         for key in ("apply", "coarse_solve", "matvec", "orthogonalization"):
-            assert key in prof, f"missing profiler phase {key}"
+            assert key in totals, f"missing solve phase {key}"
 
 
 class TestEndToEnd:
