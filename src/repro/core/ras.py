@@ -6,13 +6,14 @@
 * ASM (additive Schwarz): ``Σ R_iᵀ A_i⁻¹ R_i`` — symmetric, pairs with CG.
 
 Each A_i = R_i A R_iᵀ is factorised once (the *factorization* phase of
-figures 8/10); every application is N concurrent local solves followed by
-the partition-of-unity prolongation.  Both the factorization loop AND
-the per-application solve loop run under the parallel setup engine
-(:mod:`repro.parallel`) — the local triangular solves release the GIL,
-so the solve-phase hot loop gains real concurrency too.  Results are
-combined in submission order, so parallel and serial applications are
-bitwise identical.
+figures 8/10), that loop under the parallel setup engine
+(:mod:`repro.parallel`).  Every application is N independent local
+solves followed by the partition-of-unity prolongation.  On the
+``compiled`` kernel backend the RAS application is one compiled pass
+that runs the local solves on every usable CPU and adds their results
+in subdomain order (:mod:`repro.kernels.fused`), whatever ``parallel=``
+says; the reference path is a plain loop in subdomain order.  Both are
+bitwise independent of the thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from ..common.validation import as_float64_block
 from ..dd.decomposition import Decomposition
 from ..kernels import default_backend
-from ..parallel import ParallelConfig, parallel_map, resolve_parallel, timed_map
+from ..parallel import ParallelConfig, resolve_parallel, timed_map
 
 
 class OneLevelRAS:
@@ -81,32 +82,28 @@ class OneLevelRAS:
     def apply(self, r: np.ndarray) -> np.ndarray:
         """One preconditioner application on a reduced global vector.
 
-        The N local solves run under the configured executor; the
-        partition-of-unity combination walks subdomains in submission
-        order, so the result is bitwise independent of the executor.
-
-        With a fused kernel backend (``compiled``), a serial executor
-        and no resilience machinery armed, the whole application is one
-        compiled call — gather → solve → weighted scatter per subdomain,
-        no intermediate local vectors; any injector, disabled subdomain
-        or parallel executor falls back to the solve-then-combine path.
+        With a fused kernel backend (``compiled``) and no resilience
+        machinery armed, the whole application is one compiled pass
+        over every subdomain (gather → solve → weighted scatter, the
+        subdomains spread over the usable CPUs).  The reference backend,
+        an injector or a disabled subdomain take the solve-then-combine
+        loop in subdomain order.  Either result is bitwise independent
+        of ``parallel=``.
         """
         self.applications += 1
         facts, subs = self.factorizations, self.dec.subdomains
         injector, disabled = self.injector, self.disabled
-        if (self._fused is not None and injector is None and not disabled
-                and self.parallel.backend == "serial"):
+        if self._fused is not None and injector is None and not disabled:
             return self._fused.apply(r)
-
-        def local_solve(i: int) -> np.ndarray:
+        sols = []
+        for i, s in enumerate(subs):
             if i in disabled:
-                return self._surrogate[i] * r[subs[i].dofs]
-            sol = facts[i].solve(r[subs[i].dofs])
+                sols.append(self._surrogate[i] * r[s.dofs])
+                continue
+            sol = facts[i].solve(r[s.dofs])
             if injector is not None:
                 sol = injector.fire("local_solve", i, sol)
-            return sol
-
-        sols = parallel_map(local_solve, range(len(subs)), self.parallel)
+            sols.append(sol)
         return self._combine(sols)
 
     def apply_block(self, R: np.ndarray) -> np.ndarray:
@@ -115,30 +112,23 @@ class OneLevelRAS:
         One blocked local solve per subdomain (every
         :class:`~repro.solvers.local.Factorization` backend accepts
         column blocks) instead of ``N × k`` vector solves — the path
-        block-Krylov and Ritz-projection drivers should use.  Solves run
-        under the configured executor; accumulation is serial in
-        submission order.
+        block-Krylov and Ritz-projection drivers should use.  The fused
+        pass and the reference loop are chosen as in :meth:`apply`.
         """
         R = as_float64_block(R, "apply_block", ValueError)
         self.applications += R.shape[1]
         facts, subs = self.factorizations, self.dec.subdomains
         if (self._fused is not None and self.injector is None
-                and not self.disabled
-                and self.parallel.backend == "serial"):
+                and not self.disabled):
             return self._fused.apply_block(R)
-
-        def local_solve(i: int) -> np.ndarray:
-            if i in self.disabled:
-                sols = self._surrogate[i][:, None] * R[subs[i].dofs, :]
-            else:
-                sols = facts[i].solve(R[subs[i].dofs, :])
-            if self.weighted:
-                sols = subs[i].d[:, None] * sols
-            return sols
-
-        all_sols = parallel_map(local_solve, range(len(subs)), self.parallel)
         out = np.zeros((self.dec.problem.num_free, R.shape[1]))
-        for s, sols in zip(subs, all_sols):
+        for i, s in enumerate(subs):
+            if i in self.disabled:
+                sols = self._surrogate[i][:, None] * R[s.dofs, :]
+            else:
+                sols = facts[i].solve(R[s.dofs, :])
+            if self.weighted:
+                sols = s.d[:, None] * sols
             # a subdomain's dofs are unique, so fancy-index accumulation
             # is exact — and much faster than np.add.at's ufunc path
             out[s.dofs] += sols

@@ -10,15 +10,19 @@ local factors, the deflation blocks W_i and T_i — so building a pass
 copies no per-subdomain array; it holds references to every array it
 points into, which keeps the addresses valid for its lifetime.
 
-The C loops walk the subdomains in index order and do, per subdomain,
-the operations of the per-subdomain reference in the same order, so
-each pass is bitwise equal to its reference (``tests/test_kernels.py``).
+Per subdomain the C code does the operations of the per-subdomain
+reference in the same order, and the subdomains' contributions are
+added in index order, so each pass is bitwise equal to its reference
+(``tests/test_kernels.py``).  The RAS apply and the matvec run their
+subdomains on the kernel library's thread pool, sized to the CPUs the
+process may run on; their result does not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .csrc import load_library
 from .factor import ExportedLUFactorization, SymmetricLDLFactorization
 
 
@@ -49,123 +53,124 @@ class _Pass:
         self._tab = _address(self._table)
 
 
+class _SlabPass(_Pass):
+    """A pass that runs its subdomains on the kernel library's thread
+    pool: subdomain *s* writes its weighted local result into a per-call
+    slab at row ``soff[s]``, and the calling thread then adds the slab
+    into the output in subdomain order.  ``meta`` holds (kind, n) per
+    subdomain; slot 0 of every table row is the subdomain's dofs."""
+
+    def __init__(self, fn, rows, kinds, sizes, n_free: int):
+        super().__init__(rows)
+        self._meta = np.array([kinds, sizes], dtype=np.int32).T.copy()
+        self._meta_p = _address(self._meta)
+        #: one int64 slab offset per subdomain, then the slab's rows
+        self._soff = np.concatenate(([0], np.cumsum(sizes))).astype(
+            np.int64)
+        self._soff_p = _address(self._soff)
+        self._nsub = len(rows)
+        self._fn = fn
+        self.n_free = n_free
+
+    def _fill(self, x, slab):
+        """Write the slab rows the C pass leaves to Python."""
+
+    def _run(self, x: np.ndarray) -> np.ndarray:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        m = 1 if x.ndim == 1 else x.shape[1]
+        out = np.zeros((self.n_free,) + x.shape[1:])
+        slab = np.empty(int(self._soff[-1]) * m)
+        self._fill(x, slab)
+        if self._fn(self._nsub, self._meta_p, self._tab, self._soff_p,
+                    _address(x), _address(out), _address(slab), m):
+            raise MemoryError("no workspace for the compiled pass")
+        return out
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._run(x)
+
+    def apply_block(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`apply` for an ``(n_free, m)`` block; each column
+        bitwise equal to its vector apply."""
+        return self._run(X)
+
+
+def _configure_pool(threads: int = 0, schedule: str = "any") -> None:
+    """Test hook: size the kernel library's thread pool to *threads*
+    (0: the affinity mask) and force its claim *schedule* — ``"any"``,
+    ``"caller"`` (the workers claim nothing) or ``"workers"`` (the
+    calling thread claims nothing).  Waits for a pass in flight."""
+    load_library().pool_configure(
+        threads, ("any", "caller", "workers").index(schedule))
+
+
 # ----------------------------------------------------------------------
 # RAS: Σ_i R_iᵀ D_i A_i⁻¹ R_i r
 # ----------------------------------------------------------------------
 
-#: kind codes of ``ras_apply_f64``
-_LDL, _LU = 0, 1
+#: kind codes of ``ras_apply_f64``; a _FILLED subdomain's slab rows are
+#: written by Python before the call
+_LDL, _LU, _FILLED = 0, 1, 2
 
 
 def _ras_row(fact, s) -> tuple[int, list[np.ndarray]]:
-    head = [s.dofs, s.d, fact.piv_in, fact.piv_out]
     if isinstance(fact, SymmetricLDLFactorization):
         # the last two slots are unused by an LDLᵀ
-        return _LDL, head + [fact.indptr, fact.rowind, fact.lval,
-                             fact.dinv, fact.dinv, fact.dinv]
-    return _LU, head + [fact.l_indptr, fact.l_rowind, fact.lval,
-                        fact.u_indptr, fact.u_rowind, fact.uval]
+        return _LDL, [s.dofs, s.d, fact.piv_in, fact.piv_out, fact.indptr,
+                      fact.rowind, fact.lval, fact.dinv, fact.dinv,
+                      fact.dinv]
+    if isinstance(fact, ExportedLUFactorization):
+        return _LU, [s.dofs, s.d, fact.piv_in, fact.piv_out,
+                     fact.l_indptr, fact.l_rowind, fact.lval,
+                     fact.u_indptr, fact.u_rowind, fact.uval]
+    # a factor the probe rejected: only its dofs are read
+    return _FILLED, [s.dofs] * 10
 
 
-class _RASRun(_Pass):
-    """Consecutive subdomains with exported factors: one C call."""
-
-    def __init__(self, lib, pairs):
-        kinds, rows = zip(*(_ras_row(f, s) for f, s in pairs))
-        super().__init__(list(rows))
-        self._meta = np.array([[k, f.n] for k, (f, _) in zip(kinds, pairs)],
-                              dtype=np.int32)
-        self._meta_p = _address(self._meta)
-        self._nsub = len(pairs)
-        self._lib = lib
-
-    def apply(self, r, out, z):
-        self._lib.ras_apply_f64(self._nsub, self._meta_p, self._tab,
-                                _address(r), _address(out), _address(z))
-
-    def apply_block(self, R, out, Z):
-        self._lib.ras_apply_block_f64(
-            self._nsub, self._meta_p, self._tab, _address(R),
-            _address(out), _address(Z), R.shape[1])
-
-
-class _PlainRun:
-    """A subdomain whose factor stayed the reference one (its export
-    was rejected by the probe): the reference solve, in its place."""
-
-    def __init__(self, fact, s):
-        self.fact, self.dofs, self.d = fact, s.dofs, s.d
-
-    def apply(self, r, out, z):
-        out[self.dofs] += self.d * self.fact.solve(r[self.dofs])
-
-    def apply_block(self, R, out, Z):
-        out[self.dofs] += self.d[:, None] * self.fact.solve(R[self.dofs])
-
-
-class FusedRAS:
+class FusedRAS(_SlabPass):
     """The weighted RAS apply ``Σ_i R_iᵀ D_i A_i⁻¹ R_i`` as one compiled
-    call over the exported local factors: per subdomain, gather
-    ``r[dofs[piv_in]]``, LDLᵀ or LU solve in place, scatter-add
-    ``d[piv_out] · z`` at ``dofs[piv_out]``.  A subdomain that kept a
-    reference factor splits the call and is applied between the two
-    halves, so the accumulation order is the subdomain order."""
+    pass over the exported local factors: per subdomain, gather
+    ``r[dofs[piv_in]]``, LDLᵀ or LU solve in place, write
+    ``d[piv_out] · z`` to the slab, then the ordered scatter.  A
+    subdomain that kept a reference factor (its export was rejected by
+    the probe) writes ``d · solve(r[dofs])`` into its own slab rows, so
+    it keeps its place in the order."""
 
     def __init__(self, lib, factorizations, subdomains, n_free: int):
-        self.n_free = n_free
-        exported = (SymmetricLDLFactorization, ExportedLUFactorization)
-        self._runs, pending = [], []
-        for fact, s in zip(factorizations, subdomains):
-            if isinstance(fact, exported):
-                pending.append((fact, s))
-                continue
-            if pending:
-                self._runs.append(_RASRun(lib, pending))
-                pending = []
-            self._runs.append(_PlainRun(fact, s))
-        if pending:
-            self._runs.append(_RASRun(lib, pending))
-        self._nmax = max((f.n for f in factorizations
-                          if isinstance(f, exported)), default=0)
+        kinds, rows = zip(*(_ras_row(f, s)
+                            for f, s in zip(factorizations, subdomains)))
+        super().__init__(lib.ras_apply_f64, list(rows), kinds,
+                         [len(s.dofs) for s in subdomains], n_free)
+        self._filled = [(int(self._soff[i]), f, s.dofs, s.d)
+                        for i, (k, f, s) in enumerate(
+                            zip(kinds, factorizations, subdomains))
+                        if k == _FILLED]
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        r = np.ascontiguousarray(r, dtype=np.float64)
-        out = np.zeros(self.n_free)
-        z = np.empty(self._nmax)
-        for run in self._runs:
-            run.apply(r, out, z)
-        return out
-
-    def apply_block(self, R: np.ndarray) -> np.ndarray:
-        """:meth:`apply` for an ``(n_free, m)`` block; each column
-        bitwise equal to its vector apply."""
-        R = np.ascontiguousarray(R, dtype=np.float64)
-        out = np.zeros(R.shape)
-        Z = np.empty((self._nmax, R.shape[1]))
-        for run in self._runs:
-            run.apply_block(R, out, Z)
-        return out
+    def _fill(self, r, slab):
+        for off, fact, dofs, d in self._filled:
+            sol = fact.solve(r[dofs])
+            m = 1 if sol.ndim == 1 else sol.shape[1]
+            np.multiply(d if sol.ndim == 1 else d[:, None], sol,
+                        out=slab[off * m:(off + len(dofs)) * m].reshape(
+                            sol.shape))
 
 
 # ----------------------------------------------------------------------
 # Matvec: Σ_j R_jᵀ A_j D_j R_j x
 # ----------------------------------------------------------------------
 
-class FusedMatvec(_Pass):
-    """``A x = Σ_j R_jᵀ A_j D_j R_j x`` in one compiled call: per
+class FusedMatvec(_SlabPass):
+    """``A x = Σ_j R_jᵀ A_j D_j R_j x`` in one compiled pass: per
     subdomain ``t = d · x[dofs]``, then every CSR row of ``A_dir``
     summed from zero in storage order and added at its dof — the
     operations of ``out[s.dofs] += s.A_dir @ (s.d * x[s.dofs])``."""
 
     def __init__(self, lib, subdomains, n_free: int):
-        super().__init__([[s.A_dir.indptr, s.A_dir.indices, s.A_dir.data,
-                           s.dofs, s.d] for s in subdomains])
-        self._meta = np.array([s.size for s in subdomains], dtype=np.int32)
-        self._meta_p = _address(self._meta)
-        self._nsub = len(subdomains)
-        self._nmax = int(self._meta.max(initial=0))
-        self.n_free = n_free
-        self._lib = lib
+        super().__init__(lib.matvec_f64,
+                         [[s.dofs, s.d, s.A_dir.indptr, s.A_dir.indices,
+                           s.A_dir.data] for s in subdomains],
+                         [0] * len(subdomains),
+                         [s.size for s in subdomains], n_free)
 
     @staticmethod
     def supports(subdomains) -> bool:
@@ -175,27 +180,6 @@ class FusedMatvec(_Pass):
             and _typed(s.A_dir.indptr, np.int32)
             and _typed(s.A_dir.indices, np.int32)
             and _typed(s.A_dir.data, np.float64) for s in subdomains)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        out = np.zeros(self.n_free)
-        t = np.empty(self._nmax)
-        self._lib.matvec_f64(self._nsub, self._meta_p, self._tab,
-                             _address(x), _address(out), _address(t))
-        return out
-
-    def apply_block(self, X: np.ndarray) -> np.ndarray:
-        """:meth:`apply` for an ``(n_free, m)`` block; each column
-        bitwise equal to its vector matvec."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        m = X.shape[1]
-        out = np.zeros(X.shape)
-        T = np.empty((self._nmax, m))
-        acc = np.empty(m)
-        self._lib.matvec_block_f64(self._nsub, self._meta_p,
-                                   self._tab, _address(X), _address(out),
-                                   _address(T), _address(acc), m)
-        return out
 
 
 # ----------------------------------------------------------------------

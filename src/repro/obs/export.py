@@ -144,7 +144,13 @@ class TraceData:
         return Recorder.tracks(self)          # same first-appearance order
 
     def totals(self) -> dict[str, dict]:
-        return Recorder.totals(self)
+        """Per-name seconds and counts over the spans in the file."""
+        out: dict[str, dict] = {}
+        for s in self.spans:
+            t = out.setdefault(s.name, {"seconds": 0.0, "count": 0})
+            t["seconds"] += s.duration
+            t["count"] += 1
+        return out
 
 
 def _load_chrome(payload: dict) -> TraceData:

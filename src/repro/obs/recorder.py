@@ -101,6 +101,10 @@ class _SpanHandle:
         self.record = record
         with rec._lock:
             rec.spans.append(record)
+            t = rec._totals.setdefault(record.name,
+                                       {"seconds": 0.0, "count": 0})
+            t["seconds"] += record.duration
+            t["count"] += 1
         return False
 
 
@@ -196,6 +200,9 @@ class Recorder:
             self.events = deque(maxlen=self.ring)
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
+        #: per-name seconds and counts of every span closed, exact in
+        #: flight-recorder mode too (the ring drops the spans themselves)
+        self._totals: dict[str, dict] = {}
         self._lock = threading.Lock()
         self._tls = threading.local()
         self._index = 0
@@ -288,13 +295,10 @@ class Recorder:
                    for c in children)
 
     def totals(self) -> dict[str, dict]:
-        """Per-name accumulated seconds and counts over all spans."""
-        out: dict[str, dict] = {}
-        for s in self.spans:
-            t = out.setdefault(s.name, {"seconds": 0.0, "count": 0})
-            t["seconds"] += s.duration
-            t["count"] += 1
-        return out
+        """Per-name accumulated seconds and counts over every span
+        closed, including those a flight recorder's ring has dropped."""
+        with self._lock:
+            return {name: dict(t) for name, t in self._totals.items()}
 
     def flight_dump(self) -> dict:
         """Snapshot the black box: the last ``ring`` spans/events (or

@@ -13,6 +13,7 @@ The load-bearing guarantees pinned here:
 
 from __future__ import annotations
 
+import threading
 import warnings
 
 import numpy as np
@@ -45,7 +46,7 @@ from repro.kernels.factor import (
     SymmetricLDLFactorization,
     probe_factorization,
 )
-from repro.kernels.fused import FusedRAS
+from repro.kernels.fused import FusedRAS, _configure_pool
 from repro.kernels.registry import _FACTORIES
 from repro.krylov import fgmres, gmres
 from repro.mesh import unit_square
@@ -436,6 +437,117 @@ def test_matvec_compiled_bitwise_numpy(request, rng, decomposition):
     for c in range(X.shape[1]):
         assert np.array_equal(Yn[:, c], dec.matvec(X[:, c]))
         assert np.array_equal(Yc[:, c], fused.apply(X[:, c]))
+
+
+# ----------------------------------------------------------------------
+# Threads inside a pass: any thread count and schedule, bitwise serial
+# ----------------------------------------------------------------------
+
+#: a pass that has not returned by then has hung
+PASS_TIMEOUT_S = 60.0
+
+
+def _within(fn, timeout=PASS_TIMEOUT_S):
+    """Run *fn* on a daemon thread; fail if it has not returned within
+    *timeout* seconds, re-raise what it raised, else return its
+    result."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:   # re-raised on the test's thread
+            box["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), f"pass still running after {timeout} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+@pytest.fixture
+def pool():
+    """The pool-sizing hook, reset to the affinity mask afterwards."""
+    try:
+        yield _configure_pool
+    finally:
+        _within(_configure_pool)
+
+
+@pytest.fixture(params=["diffusion_decomposition",
+                        "convdiff_decomposition"], ids=["ldl", "lu"])
+def passes_with_rejected(request):
+    """The compiled RAS and matvec passes of an LDLᵀ (diffusion) or LU
+    (convection–diffusion) decomposition, with the probe-rejected
+    reference factor of one subdomain in the middle, and their serial
+    references."""
+    dec = request.getfixturevalue(request.param)
+    facts = list(OneLevelRAS(dec, kernels=CompiledBackend()).factorizations)
+    mid = len(facts) // 2
+    facts[mid] = factorize(dec.subdomains[mid].A_dir, "superlu",
+                           spd=dec.is_spd)
+    backend = CompiledBackend()
+    ras, mv = backend.fuse_ras(facts, dec), backend.fuse_matvec(dec)
+    rng = np.random.default_rng(7)
+    r = rng.standard_normal(dec.problem.num_free)
+    R = rng.standard_normal((dec.problem.num_free, 3))
+    subs = dec.subdomains
+    # the reference loops: dec's kernels are numpy, so dec.matvec is
+    # the per-subdomain loop
+    assert dec.kernels.name == "numpy"
+    refs = {"ras": per_subdomain_ras(facts, subs, r),
+            "ras_block": per_subdomain_ras(facts, subs, R),
+            "matvec": dec.matvec(r), "matvec_block": dec.matvec_block(R)}
+    calls = {"ras": lambda: ras.apply(r),
+             "ras_block": lambda: ras.apply_block(R),
+             "matvec": lambda: mv.apply(r),
+             "matvec_block": lambda: mv.apply_block(R)}
+    return calls, refs
+
+
+@pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
+@pytest.mark.parametrize("threads,schedule", [
+    (1, "any"), (2, "any"), (4, "any"), (2, "caller"), (2, "workers")],
+    ids=["1", "2", "4-oversubscribed", "2-workers-idle", "2-caller-idle"])
+def test_pass_threads_bitwise_serial(pool, passes_with_rejected, threads,
+                                     schedule):
+    """The RAS apply and the matvec, vector and block, are bitwise the
+    serial per-subdomain loops for 1, 2 and 4 threads, and under the two
+    forced schedules: the workers claim nothing ("caller"), and the
+    calling thread claims nothing ("workers")."""
+    calls, refs = passes_with_rejected
+    _within(lambda: pool(threads, schedule))
+    for name, call in calls.items():
+        for _ in range(3):
+            assert np.array_equal(_within(call), refs[name]), name
+
+
+@pytest.mark.skipif(not HAS_LIB, reason="no C toolchain")
+def test_pass_concurrent_callers_bitwise(pool, passes_with_rejected):
+    """Two Python threads running the same passes 50 times each — one
+    holds the pool, the other finds it busy and runs on its own thread —
+    get the serial results every time."""
+    calls, refs = passes_with_rejected
+    _within(lambda: pool(2))
+    mismatches = []
+
+    def caller():
+        for i in range(50):
+            name = list(calls)[i % len(calls)]
+            if not np.array_equal(calls[name](), refs[name]):
+                mismatches.append(name)
+
+    threads = [threading.Thread(target=caller, daemon=True)
+               for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(PASS_TIMEOUT_S)
+    assert not any(t.is_alive() for t in threads), "a caller hung"
+    assert mismatches == []
 
 
 def _stack(dec, kernels):

@@ -522,6 +522,20 @@ class TestFlightRecorder:
         assert len(dump["spans"]) == 4
         json.dumps(dump)                    # serialisable as-is
 
+    def test_ring_totals_stay_exact(self):
+        """``totals()`` counts and times every span closed, not only the
+        ones the ring still holds."""
+        rec = Recorder(ring=4)
+        handles = []
+        for _ in range(10):
+            with rec.span("phase") as h:
+                pass
+            handles.append(h)
+        assert len(rec.spans) == 4
+        t = rec.totals()["phase"]
+        assert t["count"] == 10
+        assert t["seconds"] == sum(h.record.duration for h in handles)
+
     def test_unbounded_recorder_dump(self):
         rec = Recorder()
         with rec.span("a"):
